@@ -22,6 +22,11 @@
 //! wedge-enumeration time, which is what makes the 2^14-node experiments feasible. The
 //! relaxation can only make the released value *noisier*, never less private, and the tests
 //! quantify how close the two are on realistic graphs.
+//!
+//! The default release needs both `max_{ij} a_ij` and `Δ`, and both fall out of the same
+//! common-neighbour counters, so [`triangle_wedge_stats`] computes them in **one** wedge pass
+//! (`Δ = ⅓ Σ_{edges ij} a_ij`). Only the exact path, whose sensitivity is a pair scan rather
+//! than a wedge pass, counts triangles separately.
 
 use crate::budget::PrivacyParams;
 use crate::laplace::LaplaceNoise;
@@ -57,29 +62,42 @@ fn exact_pair_work(g: &Graph) -> Work {
     Work::per_item_ns(200 * g.node_count() as u64)
 }
 
-/// Local sensitivity of the triangle count: the largest number of common neighbours over all
-/// node pairs, computed by wedge enumeration in `O(Σ_v d_v²)` time and `O(n)` memory.
-pub fn triangle_local_sensitivity(g: &Graph) -> usize {
-    triangle_local_sensitivity_par(g, &Executor::sequential())
+/// What one wedge pass over the graph yields: both inputs of the default triangle release.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WedgeStats {
+    /// The local sensitivity `LS_Δ(G) = max_{ij} a_ij`: the largest number of common
+    /// neighbours over all node pairs.
+    pub local_sensitivity: usize,
+    /// The exact triangle count `Δ` — sensitive: it only ever leaves this crate through the
+    /// noisy release.
+    pub triangles: u64,
 }
 
-/// [`triangle_local_sensitivity`] on `exec`'s compute threads.
+/// Local sensitivity of the triangle count (sequential convenience over [`triangle_wedge_stats`]).
+pub fn triangle_local_sensitivity(g: &Graph) -> usize {
+    triangle_wedge_stats(g, &Executor::sequential()).local_sensitivity
+}
+
+/// The local sensitivity **and** the exact triangle count of `g` in one wedge pass on `exec`'s
+/// compute threads: `O(Σ_v d_v²)` time, `threads × O(n)` memory.
 ///
-/// Node-partitioned: each participant owns one `O(n)` counter/marker scratch pair and, for
-/// every left endpoint `i` in its chunks, accumulates `a_ij` for all `j > i` by walking the
-/// two-hop neighbourhood of `i` (`i — v — j` wedges). This replaces the old wedge-pair
-/// `HashMap` — which held one entry per wedge pair, `O(Σ_v d_v²)` memory, ~50M entries for a
-/// single degree-10⁴ hub — with `threads × O(n)` memory total. The merge is an integer `max`,
+/// Node-partitioned: each participant owns one `O(n)` counter/touched-list scratch pair and,
+/// for every left endpoint `i` in its chunks, accumulates `a_ij` for all `j > i` by walking the
+/// two-hop neighbourhood of `i` (`i — v — j` wedges). The counters then give both statistics
+/// before they are reset: `LS_Δ` is the max over the touched counters, and summing the counters
+/// of `i`'s own neighbours `j > i` adds `a_ij` once per edge — every triangle is seen from each
+/// of its three edges, so `Δ` is a third of the total. Both merges are exact integer `max`/sum,
 /// so the result is identical for any thread count.
-pub fn triangle_local_sensitivity_par(g: &Graph, exec: &Executor) -> usize {
+// lint:source(sensitive)
+pub fn triangle_wedge_stats(g: &Graph, exec: &Executor) -> WedgeStats {
     let n = g.node_count();
-    let (best, _, _) = exec.fold_reduce(
+    let (local_sensitivity, wedge_closures, _, _) = exec.fold_reduce(
         n,
         NODE_CHUNK,
         wedge_work(g),
-        // (running max, common-neighbour counters indexed by j, touched-j list for cheap reset).
-        || (0usize, vec![0u32; n], Vec::<u32>::new()),
-        |(best, counts, touched), left_endpoints| {
+        // (running max, closed-wedge sum, counters indexed by j, touched-j list for the reset).
+        || (0usize, 0u64, vec![0u32; n], Vec::<u32>::new()),
+        |(best, closures, counts, touched), left_endpoints| {
             for i in left_endpoints {
                 let i = i as u32;
                 for &v in g.neighbors(i) {
@@ -94,6 +112,11 @@ pub fn triangle_local_sensitivity_par(g: &Graph, exec: &Executor) -> usize {
                         counts[j as usize] += 1;
                     }
                 }
+                let own = g.neighbors(i);
+                let above = own.partition_point(|&j| j <= i);
+                for &j in &own[above..] {
+                    *closures += u64::from(counts[j as usize]);
+                }
                 for &j in touched.iter() {
                     *best = (*best).max(counts[j as usize] as usize);
                     counts[j as usize] = 0;
@@ -101,9 +124,9 @@ pub fn triangle_local_sensitivity_par(g: &Graph, exec: &Executor) -> usize {
                 touched.clear();
             }
         },
-        |a, b| if a.0 >= b.0 { a } else { b },
+        |a, b| (a.0.max(b.0), a.1 + b.1, a.2, a.3),
     );
-    best
+    WedgeStats { local_sensitivity, triangles: wedge_closures / 3 }
 }
 
 /// The exact local sensitivity of `Δ` at distance `s` (the quantity `A(s)(G)` above), evaluated
@@ -200,20 +223,27 @@ pub fn smooth_sensitivity_triangles(g: &Graph, beta: f64) -> f64 {
     smooth_sensitivity_triangles_par(g, beta, &Executor::sequential())
 }
 
-/// [`smooth_sensitivity_triangles`] with the local-sensitivity kernel run on
-/// `exec`'s compute threads (see [`triangle_local_sensitivity_par`]); the closed-form
-/// maximisation over `s` happens once on the calling thread. Identical for any thread count.
+/// [`smooth_sensitivity_triangles`] with the wedge pass run on `exec`'s compute threads (see
+/// [`triangle_wedge_stats`]); the closed-form maximisation over `s` happens once on the calling
+/// thread. Identical for any thread count.
 ///
 /// # Panics
 /// Panics if `beta <= 0`.
 pub fn smooth_sensitivity_triangles_par(g: &Graph, beta: f64, exec: &Executor) -> f64 {
+    smooth_upper_bound(triangle_wedge_stats(g, exec).local_sensitivity, g.node_count(), beta)
+}
+
+/// The closed-form `β`-smooth upper bound `max_{s ≥ 0} e^{−βs} min(ls + s, n − 2)` for a graph
+/// on `n` nodes with local sensitivity `ls` (zero below three nodes, where no triangle fits).
+///
+/// # Panics
+/// Panics if `beta <= 0`.
+fn smooth_upper_bound(ls: usize, n: usize, beta: f64) -> f64 {
     assert!(beta > 0.0, "beta must be positive");
-    let n = g.node_count();
     if n < 3 {
         return 0.0;
     }
-    let cap = (n - 2) as f64;
-    let ls = triangle_local_sensitivity_par(g, exec) as f64;
+    let (ls, cap) = (ls as f64, (n - 2) as f64);
     // Maximise e^{-beta s} * min(ls + s, cap) over integer s >= 0. The unconstrained maximiser
     // of e^{-beta s}(ls + s) is s* = 1/beta - ls; check the integers around it and the
     // saturation point.
@@ -270,10 +300,12 @@ pub fn private_triangle_count<R: Rng + ?Sized>(
     private_triangle_count_par(g, params, exact, rng, &Executor::sequential())
 }
 
-/// [`private_triangle_count`] with the triangle-count and sensitivity kernels run on
-/// `exec`'s compute threads. All parallel reductions are exact, and the single Laplace
-/// draw happens on the calling thread, so the release is byte-identical for any thread count
-/// given the same RNG state.
+/// [`private_triangle_count`] with its kernels run on `exec`'s compute threads. The default
+/// (`exact = false`) path makes one wedge pass ([`triangle_wedge_stats`]) for both the
+/// sensitivity bound and `Δ`; the exact path pairs the quadratic smooth sensitivity with the
+/// edge-partitioned [`triangle_count_par`]. All parallel reductions are exact, and the single
+/// Laplace draw happens on the calling thread, so the release is byte-identical for any thread
+/// count given the same RNG state.
 ///
 /// # Panics
 /// Panics if `params.delta == 0` (pure DP is impossible for smooth-sensitivity noise with
@@ -288,18 +320,19 @@ pub fn private_triangle_count_par<R: Rng + ?Sized>(
 ) -> PrivateTriangleCount {
     assert!(params.delta > 0.0, "the smooth-sensitivity triangle release requires delta > 0");
     let beta = params.epsilon / (2.0 * (2.0 / params.delta).ln());
-    let ss = {
-        let _span = kronpriv_obs::stage_span("smooth_sensitivity");
-        if exact {
+    let (ss, exact_count) = if exact {
+        let ss = {
+            let _span = kronpriv_obs::stage_span("smooth_sensitivity");
             smooth_sensitivity_triangles_exact_par(g, beta, exec)
-        } else {
-            smooth_sensitivity_triangles_par(g, beta, exec)
-        }
-    };
-    let exact_count = {
+        };
         let _span = kronpriv_obs::stage_span("triangle_count");
-        triangle_count_par(g, exec) as f64
+        (ss, triangle_count_par(g, exec))
+    } else {
+        let _span = kronpriv_obs::stage_span("smooth_sensitivity");
+        let stats = triangle_wedge_stats(g, exec);
+        (smooth_upper_bound(stats.local_sensitivity, g.node_count(), beta), stats.triangles)
     };
+    let exact_count = exact_count as f64;
     let noise = LaplaceNoise::new(1.0);
     let value = exact_count + 2.0 * ss / params.epsilon * noise.sample(rng);
     PrivateTriangleCount { value, exact: exact_count, smooth_sensitivity: ss, beta, params }
@@ -308,7 +341,7 @@ pub fn private_triangle_count_par<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kronpriv_graph::counts::max_common_neighbors;
+    use kronpriv_graph::counts::{max_common_neighbors, triangle_count};
     use kronpriv_graph::generators::{erdos_renyi_gnp, preferential_attachment};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -344,6 +377,9 @@ mod tests {
         for seed in 0..5 {
             let g = erdos_renyi_gnp(40, 0.1 + 0.05 * seed as f64, &mut rng);
             assert_eq!(triangle_local_sensitivity(&g), max_common_neighbors(&g), "seed {seed}");
+            // The fused pass's second output is the exact triangle count.
+            let stats = triangle_wedge_stats(&g, &Executor::sequential());
+            assert_eq!(stats.triangles, triangle_count(&g), "seed {seed}");
         }
     }
 
@@ -379,11 +415,17 @@ mod tests {
         let g = preferential_attachment(400, 4, &mut rng);
         let beta = 0.05;
         let ls = triangle_local_sensitivity(&g);
+        assert_eq!(ls, max_common_neighbors(&g));
+        let triangles = triangle_count(&g);
         let ss = smooth_sensitivity_triangles(&g, beta);
         let ss_exact = smooth_sensitivity_triangles_exact(&g, beta);
         for threads in [1, 2, 8] {
             let exec = Executor::new(threads);
-            assert_eq!(triangle_local_sensitivity_par(&g, &exec), ls, "threads {threads}");
+            assert_eq!(
+                triangle_wedge_stats(&g, &exec),
+                WedgeStats { local_sensitivity: ls, triangles },
+                "threads {threads}"
+            );
             assert_eq!(
                 smooth_sensitivity_triangles_par(&g, beta, &exec).to_bits(),
                 ss.to_bits(),

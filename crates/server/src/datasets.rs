@@ -2,12 +2,19 @@
 //!
 //! A dataset is uploaded **once** (its SNAP edge list stays server-side and is never served
 //! back) and estimated **many** times; every estimate draws from the dataset's cumulative
-//! `(ε, δ)` [`BudgetLedger`]. The store is a name-ordered map behind one mutex — dataset
-//! operations are metadata-sized, so a single lock is never contended by estimation work —
-//! and is cheaply cloneable (`Arc` inside) so the persistence layer's snapshot hook can read
-//! it without holding a reference to the whole `AppState`.
+//! `(ε, δ)` [`BudgetLedger`]. It is also **parsed** once: the store keeps the CSR [`Graph`]
+//! built at upload (or at boot replay) behind an `Arc`, and every estimation job on the
+//! dataset shares it instead of re-parsing the text. The text itself is kept only for the
+//! persistence layer, whose records and snapshots embed it.
+//!
+//! The store is a name-ordered map behind one mutex — dataset operations are metadata-sized
+//! (a job takes an `Arc` clone, not the graph), so a single lock is never contended by
+//! estimation work — and is cheaply cloneable (`Arc` inside) so the persistence layer's
+//! snapshot hook can read it without holding a reference to the whole `AppState`.
 
 use crate::ledger::{BudgetLedger, BudgetRefusal};
+use kronpriv_graph::io::parse_edge_list_reader;
+use kronpriv_graph::Graph;
 use kronpriv_obs::Registry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -25,14 +32,25 @@ pub fn valid_name(name: &str) -> bool {
         && chars.all(|c| c.is_ascii_alphanumeric() || c == '.' || c == '_' || c == '-')
 }
 
-/// One stored dataset: the sensitive edge list plus released metadata and the ledger.
+/// One stored dataset: the sensitive edge list and its parsed graph, plus the ledger.
 #[derive(Debug, Clone)]
 struct Dataset {
     /// The uploaded SNAP edge-list text. Server-side only: no endpoint ever returns it.
     edge_text: String,
-    nodes: u64,
-    edges: u64,
+    /// The graph parsed from `edge_text`, shared by every estimation job on the dataset.
+    graph: Arc<Graph>,
     ledger: BudgetLedger,
+}
+
+impl Dataset {
+    fn meta(&self, name: &str) -> DatasetMeta {
+        DatasetMeta {
+            name: name.to_string(),
+            nodes: self.graph.node_count() as u64,
+            edges: self.graph.edge_count() as u64,
+            ledger: self.ledger,
+        }
+    }
 }
 
 /// Released (non-sensitive) metadata of one dataset — everything an API response may carry.
@@ -70,6 +88,8 @@ pub enum CreateError {
     /// A dataset of that name already exists (creation is not an upsert: silently replacing a
     /// dataset would silently reset its ledger).
     Exists,
+    /// The edge-list text does not parse, or not into the node/edge counts declared for it.
+    EdgeList(String),
 }
 
 /// Why a budget debit failed.
@@ -93,8 +113,10 @@ impl DatasetStore {
         DatasetStore::default()
     }
 
-    /// Creates a dataset, failing if the name is taken. `nodes`/`edges` are the counts of the
-    /// already-validated edge list.
+    /// Creates a dataset from its edge-list text alone, failing if the name is taken.
+    /// `nodes`/`edges` are the counts the text parses to; the text is parsed here into the
+    /// graph jobs run on. A caller that already parsed the text uses [`DatasetStore::insert`]
+    /// instead, so nothing parses it twice.
     pub fn create(
         &self,
         name: &str,
@@ -103,31 +125,46 @@ impl DatasetStore {
         edges: u64,
         ledger: BudgetLedger,
     ) -> Result<(), CreateError> {
+        let graph = parse_edge_list(&edge_text).map_err(CreateError::EdgeList)?;
+        if (graph.node_count() as u64, graph.edge_count() as u64) != (nodes, edges) {
+            return Err(CreateError::EdgeList(format!(
+                "declared {nodes} nodes and {edges} edges, parsed {} and {}",
+                graph.node_count(),
+                graph.edge_count()
+            )));
+        }
+        self.insert(name, edge_text, graph, ledger)
+    }
+
+    /// Creates a dataset from its edge-list text and the graph already parsed from it, failing
+    /// if the name is taken.
+    pub fn insert(
+        &self,
+        name: &str,
+        edge_text: String,
+        graph: Graph,
+        ledger: BudgetLedger,
+    ) -> Result<(), CreateError> {
         let mut map = self.lock();
         if map.contains_key(name) {
             return Err(CreateError::Exists);
         }
-        map.insert(name.to_string(), Dataset { edge_text, nodes, edges, ledger });
+        map.insert(name.to_string(), Dataset { edge_text, graph: Arc::new(graph), ledger });
         let registry = Registry::global();
         registry.counter("kronpriv_datasets_created_total", &[]).inc();
         registry.gauge("kronpriv_datasets", &[]).set(map.len() as u64);
         Ok(())
     }
 
-    /// Restores one dataset image verbatim (boot replay): overwrites any existing entry and
-    /// does not count towards the created/deleted traffic counters.
-    pub fn restore(&self, image: DatasetImage) {
+    /// Restores one dataset image (boot replay), parsing its text into the graph jobs run on:
+    /// overwrites any existing entry and does not count towards the created/deleted traffic
+    /// counters. Fails, restoring nothing, if the persisted text no longer parses.
+    pub fn restore(&self, image: DatasetImage) -> Result<(), String> {
+        let graph = Arc::new(parse_edge_list(&image.edge_text)?);
         let mut map = self.lock();
-        map.insert(
-            image.name,
-            Dataset {
-                edge_text: image.edge_text,
-                nodes: image.nodes,
-                edges: image.edges,
-                ledger: image.ledger,
-            },
-        );
+        map.insert(image.name, Dataset { edge_text: image.edge_text, graph, ledger: image.ledger });
         Registry::global().gauge("kronpriv_datasets", &[]).set(map.len() as u64);
+        Ok(())
     }
 
     /// Deletes a dataset; `false` if it did not exist. Deleting a dataset forgets its ledger —
@@ -145,30 +182,23 @@ impl DatasetStore {
 
     /// The released metadata of one dataset.
     pub fn meta(&self, name: &str) -> Option<DatasetMeta> {
-        self.lock().get(name).map(|d| DatasetMeta {
-            name: name.to_string(),
-            nodes: d.nodes,
-            edges: d.edges,
-            ledger: d.ledger,
-        })
+        self.lock().get(name).map(|d| d.meta(name))
     }
 
-    /// The stored edge-list text (server-side use only: job materialization).
+    /// The dataset's parsed graph (server-side use only: what estimation jobs run on).
+    pub fn graph(&self, name: &str) -> Option<Arc<Graph>> {
+        self.lock().get(name).map(|d| Arc::clone(&d.graph))
+    }
+
+    /// A copy of the stored edge-list text (server-side use only; jobs use
+    /// [`DatasetStore::graph`]).
     pub fn edge_text(&self, name: &str) -> Option<String> {
         self.lock().get(name).map(|d| d.edge_text.clone())
     }
 
     /// Released metadata of every dataset, in name order (deterministic listing).
     pub fn list(&self) -> Vec<DatasetMeta> {
-        self.lock()
-            .iter()
-            .map(|(name, d)| DatasetMeta {
-                name: name.clone(),
-                nodes: d.nodes,
-                edges: d.edges,
-                ledger: d.ledger,
-            })
-            .collect()
+        self.lock().iter().map(|(name, d)| d.meta(name)).collect()
     }
 
     /// Number of datasets (reported by `/healthz`).
@@ -208,8 +238,8 @@ impl DatasetStore {
             .map(|(name, d)| DatasetImage {
                 name: name.clone(),
                 edge_text: d.edge_text.clone(),
-                nodes: d.nodes,
-                edges: d.edges,
+                nodes: d.graph.node_count() as u64,
+                edges: d.graph.edge_count() as u64,
                 ledger: d.ledger,
             })
             .collect()
@@ -218,6 +248,11 @@ impl DatasetStore {
     fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Dataset>> {
         self.inner.lock().expect("dataset store poisoned")
     }
+}
+
+/// Parses an uploaded or inline SNAP edge list; the error is the message clients see.
+pub(crate) fn parse_edge_list(edge_text: &str) -> Result<Graph, String> {
+    parse_edge_list_reader(edge_text.as_bytes()).map_err(|e| format!("edge list rejected: {e}"))
 }
 
 #[cfg(test)]
@@ -236,6 +271,23 @@ mod tests {
         let meta = store.meta("g1").unwrap();
         assert_eq!((meta.nodes, meta.edges), (2, 1));
         assert_eq!(store.edge_text("g1").as_deref(), Some("0 1\n"));
+        assert_eq!(store.graph("g1").unwrap().edge_count(), 1);
+        assert!(matches!(
+            store.create("g2", "0 x\n".into(), 2, 1, ledger()),
+            Err(CreateError::EdgeList(_))
+        ));
+        assert!(matches!(
+            store.create("g2", "0 1\n".into(), 3, 1, ledger()),
+            Err(CreateError::EdgeList(_))
+        ));
+        let unparseable = DatasetImage {
+            name: "g3".into(),
+            edge_text: "0 x\n".into(),
+            nodes: 2,
+            edges: 1,
+            ledger: ledger(),
+        };
+        assert!(store.restore(unparseable).is_err());
         assert_eq!(store.count(), 1);
         assert!(store.remove("g1"));
         assert!(!store.remove("g1"));

@@ -82,8 +82,36 @@ struct JobRecord {
     /// The persisted request spec (durable mode only): what the snapshot stores so a pending
     /// job can be re-run after a restart. Never served to clients.
     spec: Option<Json>,
-    /// Append-only typed progress log; see the module docs for the document shapes.
+    /// Append-only typed progress log; see the module docs for the document shapes. The
+    /// terminal `done`/`failed` document is not stored here: [`JobRecord::events_from`] builds
+    /// it from `result`/`error` when it is served, so a finished result is held once.
     events: Vec<Json>,
+}
+
+impl JobRecord {
+    fn finished(&self) -> bool {
+        matches!(self.status, JobStatus::Done | JobStatus::Failed)
+    }
+
+    /// The event log from index `from` onward, ending in the terminal document once the job
+    /// has finished (the terminal document sits at index `events.len()`).
+    fn events_from(&self, from: usize) -> Vec<Json> {
+        let mut events = self.events.get(from..).unwrap_or_default().to_vec();
+        if from <= self.events.len() {
+            match self.status {
+                JobStatus::Done => events.push(event_doc(
+                    "done",
+                    vec![("result", self.result.clone().unwrap_or(Json::Null))],
+                )),
+                JobStatus::Failed => events.push(event_doc(
+                    "failed",
+                    vec![("error", Json::String(self.error.clone().unwrap_or_default()))],
+                )),
+                JobStatus::Queued | JobStatus::Running => {}
+            }
+        }
+        events
+    }
 }
 
 /// The job map is id-ordered (`BTreeMap`) so snapshot images and any future listings are
@@ -114,16 +142,12 @@ impl JobTable {
             match outcome {
                 Ok(result) => {
                     record.status = JobStatus::Done;
-                    record.events.push(event_doc("done", &[("result", result.clone())]));
                     record.result = Some(result);
                     self.completed_done += 1;
                     registry.counter("kronpriv_jobs_completed_total", &[("outcome", "done")]).inc();
                 }
                 Err(message) => {
                     record.status = JobStatus::Failed;
-                    record
-                        .events
-                        .push(event_doc("failed", &[("error", Json::String(message.clone()))]));
                     record.error = Some(message);
                     self.completed_failed += 1;
                     registry
@@ -142,9 +166,9 @@ impl JobTable {
 }
 
 /// Builds one typed event document: `{"event": kind, ...fields}`.
-fn event_doc(kind: &str, fields: &[(&str, Json)]) -> Json {
+fn event_doc(kind: &str, fields: Vec<(&str, Json)>) -> Json {
     let mut pairs = vec![("event".to_string(), Json::String(kind.to_string()))];
-    pairs.extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
+    pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
     Json::Object(pairs)
 }
 
@@ -177,14 +201,14 @@ impl ProgressSink for JobEventSink {
     fn emit(&self, event: &ProgressEvent) {
         let doc = match event {
             ProgressEvent::StageStarted { stage } => {
-                event_doc("stage_started", &[("stage", Json::String(stage.to_string()))])
+                event_doc("stage_started", vec![("stage", Json::String(stage.to_string()))])
             }
             ProgressEvent::StageFinished { stage } => {
-                event_doc("stage_finished", &[("stage", Json::String(stage.to_string()))])
+                event_doc("stage_finished", vec![("stage", Json::String(stage.to_string()))])
             }
             ProgressEvent::ChainStep { chain, step, total_steps, log_likelihood } => event_doc(
                 "chain_step",
-                &[
+                vec![
                     ("chain", Json::Number(*chain as f64)),
                     ("step", Json::Number(*step as f64)),
                     ("total_steps", Json::Number(*total_steps as f64)),
@@ -283,7 +307,7 @@ impl JobStore {
                     error: None,
                     warnings,
                     spec,
-                    events: vec![event_doc("queued", &[("job_id", Json::Number(id as f64))])],
+                    events: vec![event_doc("queued", vec![("job_id", Json::Number(id as f64))])],
                 },
             );
             id
@@ -305,7 +329,7 @@ impl JobStore {
         self.pool.execute(move || {
             let sink = JobEventSink { shared: Arc::clone(&shared), id };
             set_status(&shared, id, JobStatus::Running);
-            sink.push(event_doc("running", &[]));
+            sink.push(event_doc("running", Vec::new()));
             let outcome = panic::catch_unwind(AssertUnwindSafe(|| work(&sink)))
                 .unwrap_or_else(|_| Err("job panicked".to_string()));
             let hook = shared.hook.lock().expect("job hook poisoned").clone();
@@ -331,42 +355,24 @@ impl JobStore {
     }
 
     /// Restores an already-finished job verbatim (boot replay): the record appears `Done` or
-    /// `Failed` with a synthesized two-event log, counts towards the `/healthz` completion
-    /// tallies, but does not re-run and does not touch the traffic metrics or the hook.
+    /// `Failed` with a synthesized two-event log (`queued`, then the terminal document), counts
+    /// towards the `/healthz` completion tallies, but does not re-run and does not touch the
+    /// traffic metrics or the hook.
     pub fn restore_finished(&self, id: u64, outcome: Result<Json, String>, warnings: Vec<String>) {
         let mut table = self.shared.table.lock().expect("job table poisoned");
         table.next_id = table.next_id.max(id);
-        let record = match &outcome {
+        let (status, result, error) = match outcome {
             Ok(result) => {
                 table.completed_done += 1;
-                JobRecord {
-                    status: JobStatus::Done,
-                    result: Some(result.clone()),
-                    error: None,
-                    warnings,
-                    spec: None,
-                    events: vec![
-                        event_doc("queued", &[("job_id", Json::Number(id as f64))]),
-                        event_doc("done", &[("result", result.clone())]),
-                    ],
-                }
+                (JobStatus::Done, Some(result), None)
             }
             Err(message) => {
                 table.completed_failed += 1;
-                JobRecord {
-                    status: JobStatus::Failed,
-                    result: None,
-                    error: Some(message.clone()),
-                    warnings,
-                    spec: None,
-                    events: vec![
-                        event_doc("queued", &[("job_id", Json::Number(id as f64))]),
-                        event_doc("failed", &[("error", Json::String(message.clone()))]),
-                    ],
-                }
+                (JobStatus::Failed, None, Some(message))
             }
         };
-        table.jobs.insert(id, record);
+        let events = vec![event_doc("queued", vec![("job_id", Json::Number(id as f64))])];
+        table.jobs.insert(id, JobRecord { status, result, error, warnings, spec: None, events });
         table.finished.push_back(id);
         while table.finished.len() > table.max_finished {
             if let Some(oldest) = table.finished.pop_front() {
@@ -404,10 +410,8 @@ impl JobStore {
         let mut table = self.shared.table.lock().expect("job table poisoned");
         loop {
             let record = table.jobs.get(&id)?;
-            let finished = matches!(record.status, JobStatus::Done | JobStatus::Failed);
-            if record.events.len() > from || finished {
-                let events = record.events.get(from..).unwrap_or_default().to_vec();
-                return Some((events, finished));
+            if record.events.len() > from || record.finished() {
+                return Some((record.events_from(from), record.finished()));
             }
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
@@ -418,9 +422,7 @@ impl JobStore {
             table = guard;
             if wait.timed_out() {
                 let record = table.jobs.get(&id)?;
-                let finished = matches!(record.status, JobStatus::Done | JobStatus::Failed);
-                let events = record.events.get(from..).unwrap_or_default().to_vec();
-                return Some((events, finished));
+                return Some((record.events_from(from), record.finished()));
             }
         }
     }

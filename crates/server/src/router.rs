@@ -14,7 +14,7 @@ use crate::api::{
     EstimatorKind, HealthResponse, JobResponse, JobSpec, SampleRequest, SampleResponse,
     SubmitResponse,
 };
-use crate::datasets::{valid_name, CreateError, DatasetStore, DebitError};
+use crate::datasets::{parse_edge_list, valid_name, CreateError, DatasetStore, DebitError};
 use crate::http::{Request, Response};
 use crate::jobs::{JobEventSink, JobStatus, JobStore};
 use crate::ledger::{BudgetLedger, BudgetRefusal};
@@ -24,7 +24,7 @@ use kronpriv::pipeline::{
     validate_estimator_inputs,
 };
 use kronpriv_estimate::{KronFitOptions, KronMomOptions};
-use kronpriv_graph::io::{parse_edge_list_reader, to_edge_list_string};
+use kronpriv_graph::io::to_edge_list_string;
 use kronpriv_graph::Graph;
 use kronpriv_json::{from_str, to_string, FromJson, Json, ToJson};
 use kronpriv_obs::{ProgressEvent, ProgressSink, Registry};
@@ -91,7 +91,12 @@ impl AppState {
         let mut state = AppState::new(job_workers, max_order, compute_threads);
         state.data_dir = Some(data_dir.display().to_string());
         for image in replay.datasets {
-            state.datasets.restore(image);
+            let name = image.name.clone();
+            if let Err(e) = state.datasets.restore(image) {
+                // Every stored text parsed at upload, so only a hand-edited data dir gets here;
+                // like any other unreadable record, it is dropped rather than failing the boot.
+                eprintln!("kronpriv-store: dropping dataset {name:?} at boot: {e}");
+            }
         }
         for job in replay.finished {
             state.jobs.restore_finished(job.id, job.outcome, job.warnings);
@@ -425,19 +430,28 @@ fn validate_kronmom_options(options: &KronMomOptions) -> Result<(), String> {
     Ok(())
 }
 
-/// Realizes the job's input graph: parses the uploaded edge list, or samples the SKG spec from
-/// the job RNG. Exactly one of the two is present (validated before submission).
+/// A job's validated input graph, as handed to its work closure.
+enum GraphInput {
+    /// A stored dataset's graph, parsed once at upload and shared by all of its jobs.
+    Dataset(Arc<Graph>),
+    /// An inline SNAP edge list, parsed by the job itself.
+    EdgeList(String),
+    /// A stochastic Kronecker spec `(θ, k)`, sampled from the job RNG.
+    Skg(Initiator2, u32),
+}
+
+/// Realizes the job's input graph: shares the dataset's graph, parses the inline edge list, or
+/// samples the SKG spec from the job RNG (the only input that consumes randomness).
 fn materialize_graph<R: Rng + ?Sized>(
-    edge_list: &Option<String>,
-    skg: Option<(Initiator2, u32)>,
+    input: GraphInput,
     rng: &mut R,
-) -> Result<Graph, String> {
-    match (edge_list, skg) {
-        (Some(text), None) => {
-            parse_edge_list_reader(text.as_bytes()).map_err(|e| format!("edge list rejected: {e}"))
+) -> Result<Arc<Graph>, String> {
+    match input {
+        GraphInput::Dataset(graph) => Ok(graph),
+        GraphInput::EdgeList(text) => parse_edge_list(&text).map(Arc::new),
+        GraphInput::Skg(theta, k) => {
+            Ok(Arc::new(sample_fast(&theta, k, &SamplerOptions::default(), rng)))
         }
-        (None, Some((theta, k))) => Ok(sample_fast(&theta, k, &SamplerOptions::default(), rng)),
-        _ => unreachable!("graph spec validated before submission"),
     }
 }
 
@@ -498,17 +512,17 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
     // Validate everything that does not require touching the (possibly large) graph, so bad
     // requests are rejected on the connection thread with a 400 instead of failing as jobs.
     let kind = EstimatorKind::parse(spec.estimator.as_deref()).map_err(SpecError::Bad)?;
-    let (edge_list, skg) = match (&spec.dataset, &spec.edge_list, &spec.skg) {
+    let input = match (&spec.dataset, &spec.edge_list, &spec.skg) {
         (Some(name), None, None) => {
             if kind != EstimatorKind::Private {
                 return Err(SpecError::NonPrivate(kind.as_str().to_string()));
             }
-            match state.datasets.edge_text(name) {
-                Some(text) => (Some(text), None),
+            match state.datasets.graph(name) {
+                Some(graph) => GraphInput::Dataset(graph),
                 None => return Err(SpecError::NoSuchDataset(name.clone())),
             }
         }
-        (None, Some(text), None) => (Some(text.clone()), None),
+        (None, Some(text), None) => GraphInput::EdgeList(text.clone()),
         (None, None, Some(skg)) => {
             if skg.k == 0 || skg.k > state.max_order {
                 return Err(SpecError::Bad(format!(
@@ -517,7 +531,7 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
                 )));
             }
             let theta = skg.theta.validate().map_err(SpecError::Bad)?;
-            (None, Some((theta, skg.k)))
+            GraphInput::Skg(theta, skg.k)
         }
         (None, _, _) => {
             return Err(SpecError::Bad(
@@ -572,7 +586,7 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
                     // One seeded RNG drives both the optional SKG realization and the privacy
                     // noise, so the whole job is a pure function of the request document.
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let graph = materialize_graph(&edge_list, skg, &mut rng)?;
+                    let graph = materialize_graph(input, &mut rng)?;
                     let estimate = try_private_estimate_observed(
                         &graph, params, &options, &mut rng, &exec, sink,
                     )
@@ -596,7 +610,7 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
                 draw: None,
                 work: Box::new(move |sink| {
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let graph = materialize_graph(&edge_list, skg, &mut rng)?;
+                    let graph = materialize_graph(input, &mut rng)?;
                     sink.emit(&ProgressEvent::StageStarted { stage: "fit" });
                     let fit = try_kronmom_estimate_on(&graph, &options, &exec)
                         .map_err(|e| format!("estimation rejected: {e}"))?;
@@ -620,7 +634,7 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
                     // multi-chain permutation sampling, so the fit is a pure function of the
                     // request document (and independent of --compute-threads).
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let graph = materialize_graph(&edge_list, skg, &mut rng)?;
+                    let graph = materialize_graph(input, &mut rng)?;
                     let fit =
                         try_kronfit_estimate_observed(&graph, &options, &mut rng, &exec, sink)
                             .map_err(|e| format!("estimation rejected: {e}"))?;
@@ -713,14 +727,15 @@ fn create_dataset(state: &AppState, request: &Request) -> Response {
         Err(e) => return error(400, "bad_request", format!("budget rejected: {e}")),
     };
     // Parse the edge list up front: a dataset that can never be estimated should be rejected
-    // at upload time, and the node/edge counts are part of the created resource.
-    let graph = match parse_edge_list_reader(req.edge_list.as_bytes()) {
+    // at upload time, the node/edge counts are part of the created resource, and the parsed
+    // graph is what every job on the dataset runs on — the only parse it ever gets.
+    let graph = match parse_edge_list(&req.edge_list) {
         Ok(graph) => graph,
-        Err(e) => return error(400, "bad_request", format!("edge list rejected: {e}")),
+        Err(message) => return error(400, "bad_request", message),
     };
     let ledger = BudgetLedger::new(budget.epsilon, budget.delta);
     let (nodes, edges) = (graph.node_count() as u64, graph.edge_count() as u64);
-    match state.datasets.create(&req.name, req.edge_list.clone(), nodes, edges, ledger) {
+    match state.datasets.insert(&req.name, req.edge_list.clone(), graph, ledger) {
         Ok(()) => {
             state.persist_record("dataset_put", || {
                 vec![
@@ -744,6 +759,7 @@ fn create_dataset(state: &AppState, request: &Request) -> Response {
                 req.name
             ),
         ),
+        Err(CreateError::EdgeList(message)) => error(400, "bad_request", message),
     }
 }
 

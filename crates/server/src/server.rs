@@ -262,7 +262,7 @@ fn stream_events(stream: TcpStream, state: &AppState, id: u64, deprecated: bool)
             Some((events, terminal)) => {
                 let mut batch = String::new();
                 for event in &events {
-                    batch.push_str(&kronpriv_json::to_string(event));
+                    batch.push_str(&event.to_compact_string());
                     batch.push('\n');
                 }
                 cursor += events.len();

@@ -193,7 +193,7 @@ impl Persistence {
             ("seq".to_string(), Json::Number(seq as f64)),
         ];
         pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-        let mut line = kronpriv_json::to_string(&Json::Object(pairs));
+        let mut line = Json::Object(pairs).to_compact_string();
         line.push('\n');
         inner.file.write_all(line.as_bytes())?;
         inner.file.flush()?;
@@ -223,7 +223,7 @@ impl Persistence {
             pairs.extend(fields);
         }
         let tmp = self.dir.join(SNAPSHOT_TMP);
-        fs::write(&tmp, kronpriv_json::to_string(&Json::Object(pairs)))?;
+        fs::write(&tmp, Json::Object(pairs).to_compact_string())?;
         fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
         // The snapshot covers everything in the log: start the log over.
         inner.file.set_len(0)?;
@@ -236,7 +236,7 @@ impl Persistence {
 /// Builds the `{next_job_id, datasets, jobs}` state image the snapshot embeds — shared by the
 /// request handlers and the job-completion hook (which has no `AppState` to call into).
 pub fn state_image(datasets: &DatasetStore, jobs: &JobImager) -> Json {
-    let dataset_docs: Vec<Json> = datasets.images().into_iter().map(|i| dataset_doc(&i)).collect();
+    let dataset_docs: Vec<Json> = datasets.images().into_iter().map(dataset_doc).collect();
     let (next_job_id, job_docs) = jobs.image_docs();
     Json::Object(vec![
         ("next_job_id".to_string(), Json::Number(next_job_id as f64)),
@@ -245,10 +245,10 @@ pub fn state_image(datasets: &DatasetStore, jobs: &JobImager) -> Json {
     ])
 }
 
-fn dataset_doc(image: &DatasetImage) -> Json {
+fn dataset_doc(image: DatasetImage) -> Json {
     Json::Object(vec![
-        ("name".to_string(), Json::String(image.name.clone())),
-        ("edge_list".to_string(), Json::String(image.edge_text.clone())),
+        ("name".to_string(), Json::String(image.name)),
+        ("edge_list".to_string(), Json::String(image.edge_text)),
         ("nodes".to_string(), Json::Number(image.nodes as f64)),
         ("edges".to_string(), Json::Number(image.edges as f64)),
         ("epsilon_limit".to_string(), Json::Number(image.ledger.epsilon_limit)),

@@ -14,6 +14,9 @@ cargo fmt --check
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
+echo "==> e2ebench build (the end-to-end benchmark compiles against the crates' public API)"
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 

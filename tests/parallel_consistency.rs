@@ -7,7 +7,7 @@
 use kronpriv::prelude::*;
 use kronpriv_dp::{
     smooth_sensitivity_triangles, smooth_sensitivity_triangles_par, triangle_local_sensitivity,
-    triangle_local_sensitivity_par,
+    triangle_wedge_stats, WedgeStats,
 };
 use kronpriv_graph::counts::{
     max_common_neighbors, per_node_triangles, per_node_triangles_par, triangle_count,
@@ -44,6 +44,11 @@ fn triangle_counts_are_identical_for_all_thread_counts() {
         for threads in THREAD_COUNTS {
             let exec = Executor::new(threads);
             assert_eq!(triangle_count_par(&g, &exec), count, "{name} threads {threads}");
+            assert_eq!(
+                triangle_wedge_stats(&g, &exec).triangles,
+                count,
+                "{name} threads {threads}"
+            );
             assert_eq!(per_node_triangles_par(&g, &exec), per_node, "{name} threads {threads}");
         }
     }
@@ -135,6 +140,11 @@ fn hub_heavy_local_sensitivity_runs_in_linear_memory_and_matches_the_reference()
     assert_eq!(big.degree(0), 3875);
     for threads in THREAD_COUNTS {
         let exec = Executor::new(threads);
-        assert_eq!(triangle_local_sensitivity_par(&big, &exec), 30, "threads {threads}");
+        // One triangle (hub, mid, leaf) per leaf.
+        assert_eq!(
+            triangle_wedge_stats(&big, &exec),
+            WedgeStats { local_sensitivity: 30, triangles: 125 * 30 },
+            "threads {threads}"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Live-socket tests for the durable job store and the per-dataset privacy-budget ledger:
-//! kill-and-restart replay on a temporary `--data-dir`, budget exhaustion over HTTP (a refused
-//! draw spends nothing), log-corruption tolerance, and the legacy alias contract
-//! (`Deprecation: true` header, byte-identical bodies).
+//! kill-and-restart replay on a temporary `--data-dir`, dataset-vs-inline result identity,
+//! budget exhaustion over HTTP (a refused draw spends nothing), log-corruption tolerance, and
+//! the legacy alias contract (`Deprecation: true` header, byte-identical bodies).
 
 use kronpriv_json::Json;
 use kronpriv_server::store::Persistence;
@@ -125,6 +125,45 @@ fn restart_replays_datasets_ledgers_and_finished_jobs_byte_identically() {
     assert_eq!(status, 202, "{body}");
     let rerun = poll_to_done(addr, submitted_job_id(&body));
     assert_eq!(result_bytes(&rerun), first_result, "same seed must reproduce the same bytes");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn dataset_and_inline_routes_release_byte_identical_documents() {
+    // A dataset job runs on the graph parsed once at upload (or once at boot replay); an
+    // inline job parses its own copy of the text. Same text, seed and params must give the
+    // same result document either way, before and after a durable restart.
+    let draw = r#""params": {"epsilon": 0.6, "delta": 0.01}, "seed": 33"#;
+    let dataset_body = format!("{{{draw}}}");
+    let inline_body = format!(r#"{{"graph": {{"edge_list": {}}}, {draw}}}"#, edge_list_json());
+    let release = |addr: SocketAddr, path: &str, body: &str| {
+        let (status, body) = client::post_json(addr, path, body).expect("estimate request");
+        assert_eq!(status, 202, "{path}: {body}");
+        result_bytes(&poll_to_done(addr, submitted_job_id(&body)))
+    };
+    let dataset_path = "/api/v1/datasets/shared/estimate";
+
+    let handle = start_in_memory();
+    let addr = handle.addr();
+    let (status, body) = create_dataset(addr, "shared", 5.0, 0.5);
+    assert_eq!(status, 201, "{body}");
+    let reference = release(addr, "/api/v1/estimate", &inline_body);
+    assert_eq!(release(addr, dataset_path, &dataset_body), reference, "in memory");
+    handle.shutdown();
+
+    let dir = temp_dir("routes");
+    {
+        let handle = start_durable(&dir);
+        let (status, body) = create_dataset(handle.addr(), "shared", 5.0, 0.5);
+        assert_eq!(status, 201, "{body}");
+        assert_eq!(release(handle.addr(), dataset_path, &dataset_body), reference, "durable");
+        handle.shutdown();
+    }
+    let handle = start_durable(&dir);
+    let addr = handle.addr();
+    assert_eq!(release(addr, dataset_path, &dataset_body), reference, "after restart");
+    assert_eq!(release(addr, "/api/v1/estimate", &inline_body), reference, "inline after restart");
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -18,10 +18,12 @@ fn start_server() -> kronpriv_server::ServerHandle {
 }
 
 /// A KronFit request sized to run for a noticeable moment on the single estimation worker —
-/// long enough that the event stream demonstrably attaches while the job is still running.
+/// long enough that the event stream demonstrably attaches while the job is still running. The
+/// 2^14-node input keeps an optimized build's job well above the 50 ms follow bound (a 2^8-node
+/// input finished in 32–47 ms there).
 fn slow_kronfit_body(seed: u64, compute_threads: usize) -> String {
     format!(
-        r#"{{"graph": {{"skg": {{"theta": {{"a": 0.95, "b": 0.55, "c": 0.2}}, "k": 8}}}},
+        r#"{{"graph": {{"skg": {{"theta": {{"a": 0.95, "b": 0.55, "c": 0.2}}, "k": 14}}}},
             "estimator": "kronfit", "seed": {seed},
             "kronfit": {{"gradient_steps": 8, "warmup_swaps": 1500, "samples_per_step": 2,
                          "swaps_between_samples": 400, "learning_rate": 0.06,
