@@ -12,6 +12,7 @@ use kronpriv::experiment::write_json;
 use kronpriv::prelude::*;
 use kronpriv_dp::smooth_sensitivity_triangles;
 use kronpriv_estimate::{DistanceKind, MomentObjective, NormalizationKind};
+use kronpriv_graph::counts::triangle_wedge_stats;
 use kronpriv_json::impl_json_struct;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,7 +63,7 @@ pub fn smooth_sensitivity_growth(
             nodes: g.node_count(),
             edges: g.edge_count(),
             triangles: stats.triangles,
-            local_sensitivity: kronpriv_dp::triangle_local_sensitivity(&g),
+            local_sensitivity: triangle_wedge_stats(&g, &Executor::sequential()).local_sensitivity,
             smooth_sensitivity: smooth_sensitivity_triangles(&g, beta),
         });
     }

@@ -33,6 +33,5 @@ pub use degree::{
 pub use laplace::{laplace_mechanism, sample_laplace, LaplaceNoise};
 pub use smooth::{
     private_triangle_count, private_triangle_count_par, smooth_sensitivity_triangles,
-    smooth_sensitivity_triangles_par, triangle_local_sensitivity, triangle_wedge_stats,
-    PrivateTriangleCount, WedgeStats,
+    smooth_sensitivity_triangles_par, PrivateTriangleCount,
 };

@@ -23,110 +23,32 @@
 //! relaxation can only make the released value *noisier*, never less private, and the tests
 //! quantify how close the two are on realistic graphs.
 //!
-//! The default release needs both `max_{ij} a_ij` and `Δ`, and both fall out of the same
-//! common-neighbour counters, so [`triangle_wedge_stats`] computes them in **one** wedge pass
-//! (`Δ = ⅓ Σ_{edges ij} a_ij`). Only the exact path, whose sensitivity is a pair scan rather
-//! than a wedge pass, counts triangles separately.
+//! The release needs `Δ` and, on the default path, `max_{ij} a_ij`. Both come from one wedge
+//! pass ([`triangle_wedge_stats`], in `kronpriv-graph`), and the release reads them through
+//! [`Graph::wedge_stats`], which memoises them on the immutable graph: a stored dataset pays for
+//! the pass on its first release only. Only `β` and the single Laplace draw change from one
+//! release to the next, and both are computed fresh every time. [`smooth_sensitivity_triangles`]
+//! stays an uncached kernel that always runs the pass.
 
 use crate::budget::PrivacyParams;
 use crate::laplace::LaplaceNoise;
-use kronpriv_graph::counts::{common_neighbor_count, exclusive_neighbor_count, triangle_count_par};
+use kronpriv_graph::counts::{
+    common_neighbor_count, exclusive_neighbor_count, triangle_wedge_stats,
+};
 use kronpriv_graph::Graph;
 use kronpriv_json::impl_json_struct_redacted;
 use kronpriv_par::{Executor, Work};
 use rand::Rng;
-
-/// Left endpoints (`i` below) per work chunk for the node-partitioned local-sensitivity kernel.
-/// Fixed — never derived from the thread count — so the `max`-merge is over the same chunk set
-/// for any [`Executor`]; sized so one chunk carries enough wedge work to amortize a pool
-/// handoff.
-const NODE_CHUNK: usize = 256;
 
 /// Left endpoints per chunk for the quadratic exact kernel, whose per-endpoint cost (`n` pair
 /// evaluations, each scanning the distance-`s` curve) is orders of magnitude higher than the
 /// wedge kernel's — so much smaller chunks keep the dynamic claiming balanced.
 const EXACT_PAIR_CHUNK: usize = 64;
 
-/// Cost hint for one left endpoint of the wedge kernel: a two-hop scan, roughly the squared
-/// average degree in neighbour-list steps. A pure function of the graph shape, as the
-/// executor's sequential cutoff requires.
-fn wedge_work(g: &Graph) -> Work {
-    let n = g.node_count().max(1) as u64;
-    let avg_degree = (2 * g.edge_count() as u64).div_ceil(n);
-    Work::per_item_ns(2 * avg_degree * avg_degree)
-}
-
 /// Cost hint for one left endpoint of the quadratic exact kernel: `n` pair evaluations, each a
 /// neighbour intersection plus a distance-curve scan.
 fn exact_pair_work(g: &Graph) -> Work {
     Work::per_item_ns(200 * g.node_count() as u64)
-}
-
-/// What one wedge pass over the graph yields: both inputs of the default triangle release.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WedgeStats {
-    /// The local sensitivity `LS_Δ(G) = max_{ij} a_ij`: the largest number of common
-    /// neighbours over all node pairs.
-    pub local_sensitivity: usize,
-    /// The exact triangle count `Δ` — sensitive: it only ever leaves this crate through the
-    /// noisy release.
-    pub triangles: u64,
-}
-
-/// Local sensitivity of the triangle count (sequential convenience over [`triangle_wedge_stats`]).
-pub fn triangle_local_sensitivity(g: &Graph) -> usize {
-    triangle_wedge_stats(g, &Executor::sequential()).local_sensitivity
-}
-
-/// The local sensitivity **and** the exact triangle count of `g` in one wedge pass on `exec`'s
-/// compute threads: `O(Σ_v d_v²)` time, `threads × O(n)` memory.
-///
-/// Node-partitioned: each participant owns one `O(n)` counter/touched-list scratch pair and,
-/// for every left endpoint `i` in its chunks, accumulates `a_ij` for all `j > i` by walking the
-/// two-hop neighbourhood of `i` (`i — v — j` wedges). The counters then give both statistics
-/// before they are reset: `LS_Δ` is the max over the touched counters, and summing the counters
-/// of `i`'s own neighbours `j > i` adds `a_ij` once per edge — every triangle is seen from each
-/// of its three edges, so `Δ` is a third of the total. Both merges are exact integer `max`/sum,
-/// so the result is identical for any thread count.
-// lint:source(sensitive)
-pub fn triangle_wedge_stats(g: &Graph, exec: &Executor) -> WedgeStats {
-    let n = g.node_count();
-    let (local_sensitivity, wedge_closures, _, _) = exec.fold_reduce(
-        n,
-        NODE_CHUNK,
-        wedge_work(g),
-        // (running max, closed-wedge sum, counters indexed by j, touched-j list for the reset).
-        || (0usize, 0u64, vec![0u32; n], Vec::<u32>::new()),
-        |(best, closures, counts, touched), left_endpoints| {
-            for i in left_endpoints {
-                let i = i as u32;
-                for &v in g.neighbors(i) {
-                    let two_hop = g.neighbors(v);
-                    // Neighbour lists are sorted: skip straight to the j > i suffix so each
-                    // unordered pair {i, j} is counted from its smaller endpoint only.
-                    let start = two_hop.partition_point(|&j| j <= i);
-                    for &j in &two_hop[start..] {
-                        if counts[j as usize] == 0 {
-                            touched.push(j);
-                        }
-                        counts[j as usize] += 1;
-                    }
-                }
-                let own = g.neighbors(i);
-                let above = own.partition_point(|&j| j <= i);
-                for &j in &own[above..] {
-                    *closures += u64::from(counts[j as usize]);
-                }
-                for &j in touched.iter() {
-                    *best = (*best).max(counts[j as usize] as usize);
-                    counts[j as usize] = 0;
-                }
-                touched.clear();
-            }
-        },
-        |a, b| (a.0.max(b.0), a.1 + b.1, a.2, a.3),
-    );
-    WedgeStats { local_sensitivity, triangles: wedge_closures / 3 }
 }
 
 /// The exact local sensitivity of `Δ` at distance `s` (the quantity `A(s)(G)` above), evaluated
@@ -300,12 +222,12 @@ pub fn private_triangle_count<R: Rng + ?Sized>(
     private_triangle_count_par(g, params, exact, rng, &Executor::sequential())
 }
 
-/// [`private_triangle_count`] with its kernels run on `exec`'s compute threads. The default
-/// (`exact = false`) path makes one wedge pass ([`triangle_wedge_stats`]) for both the
-/// sensitivity bound and `Δ`; the exact path pairs the quadratic smooth sensitivity with the
-/// edge-partitioned [`triangle_count_par`]. All parallel reductions are exact, and the single
-/// Laplace draw happens on the calling thread, so the release is byte-identical for any thread
-/// count given the same RNG state.
+/// [`private_triangle_count`] with its kernels run on `exec`'s compute threads. Both paths take
+/// `Δ` from [`Graph::wedge_stats`] (one wedge pass on the graph's first release, a memo read
+/// after that); the default (`exact = false`) path also takes its sensitivity bound from it,
+/// while the exact path runs the quadratic smooth sensitivity. All parallel reductions are
+/// exact, and the single Laplace draw happens on the calling thread, so the release is
+/// byte-identical for any thread count and for a cold or warm memo, given the same RNG state.
 ///
 /// # Panics
 /// Panics if `params.delta == 0` (pure DP is impossible for smooth-sensitivity noise with
@@ -320,19 +242,16 @@ pub fn private_triangle_count_par<R: Rng + ?Sized>(
 ) -> PrivateTriangleCount {
     assert!(params.delta > 0.0, "the smooth-sensitivity triangle release requires delta > 0");
     let beta = params.epsilon / (2.0 * (2.0 / params.delta).ln());
-    let (ss, exact_count) = if exact {
-        let ss = {
-            let _span = kronpriv_obs::stage_span("smooth_sensitivity");
-            smooth_sensitivity_triangles_exact_par(g, beta, exec)
-        };
-        let _span = kronpriv_obs::stage_span("triangle_count");
-        (ss, triangle_count_par(g, exec))
-    } else {
+    let (ss, exact_count) = {
         let _span = kronpriv_obs::stage_span("smooth_sensitivity");
-        let stats = triangle_wedge_stats(g, exec);
-        (smooth_upper_bound(stats.local_sensitivity, g.node_count(), beta), stats.triangles)
+        let stats = g.wedge_stats(exec);
+        let ss = if exact {
+            smooth_sensitivity_triangles_exact_par(g, beta, exec)
+        } else {
+            smooth_upper_bound(stats.local_sensitivity, g.node_count(), beta)
+        };
+        (ss, stats.triangles as f64)
     };
-    let exact_count = exact_count as f64;
     let noise = LaplaceNoise::new(1.0);
     let value = exact_count + 2.0 * ss / params.epsilon * noise.sample(rng);
     PrivateTriangleCount { value, exact: exact_count, smooth_sensitivity: ss, beta, params }
@@ -341,7 +260,7 @@ pub fn private_triangle_count_par<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kronpriv_graph::counts::{max_common_neighbors, triangle_count};
+    use kronpriv_graph::counts::{max_common_neighbors, triangle_count, WedgeStats};
     use kronpriv_graph::generators::{erdos_renyi_gnp, preferential_attachment};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -358,17 +277,20 @@ mod tests {
 
     #[test]
     fn local_sensitivity_of_complete_graph_is_n_minus_two() {
-        assert_eq!(triangle_local_sensitivity(&complete_graph(7)), 5);
+        assert_eq!(
+            triangle_wedge_stats(&complete_graph(7), &Executor::sequential()).local_sensitivity,
+            5
+        );
     }
 
     #[test]
     fn local_sensitivity_of_triangle_free_graph() {
         // A star has exactly one common neighbour (the hub) for every pair of leaves.
         let star = Graph::from_edges(6, (1..6u32).map(|v| (0, v)));
-        assert_eq!(triangle_local_sensitivity(&star), 1);
+        assert_eq!(triangle_wedge_stats(&star, &Executor::sequential()).local_sensitivity, 1);
         // A single edge has no common neighbours anywhere.
         let edge = Graph::from_edges(2, vec![(0, 1)]);
-        assert_eq!(triangle_local_sensitivity(&edge), 0);
+        assert_eq!(triangle_wedge_stats(&edge, &Executor::sequential()).local_sensitivity, 0);
     }
 
     #[test]
@@ -376,9 +298,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for seed in 0..5 {
             let g = erdos_renyi_gnp(40, 0.1 + 0.05 * seed as f64, &mut rng);
-            assert_eq!(triangle_local_sensitivity(&g), max_common_neighbors(&g), "seed {seed}");
-            // The fused pass's second output is the exact triangle count.
             let stats = triangle_wedge_stats(&g, &Executor::sequential());
+            assert_eq!(stats.local_sensitivity, max_common_neighbors(&g), "seed {seed}");
+            // The fused pass's second output is the exact triangle count.
             assert_eq!(stats.triangles, triangle_count(&g), "seed {seed}");
         }
     }
@@ -402,8 +324,9 @@ mod tests {
             }
         }
         let g = Graph::from_edges(1 + mids as usize + (mids * leaves) as usize, edges);
-        assert_eq!(triangle_local_sensitivity(&g), leaves as usize);
-        assert_eq!(triangle_local_sensitivity(&g), max_common_neighbors(&g));
+        let ls = triangle_wedge_stats(&g, &Executor::sequential()).local_sensitivity;
+        assert_eq!(ls, leaves as usize);
+        assert_eq!(ls, max_common_neighbors(&g));
     }
 
     #[test]
@@ -414,7 +337,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x9A_7001);
         let g = preferential_attachment(400, 4, &mut rng);
         let beta = 0.05;
-        let ls = triangle_local_sensitivity(&g);
+        let ls = triangle_wedge_stats(&g, &Executor::sequential()).local_sensitivity;
         assert_eq!(ls, max_common_neighbors(&g));
         let triangles = triangle_count(&g);
         let ss = smooth_sensitivity_triangles(&g, beta);
@@ -443,7 +366,10 @@ mod tests {
     fn local_sensitivity_at_distance_zero_is_plain_local_sensitivity() {
         let mut rng = StdRng::seed_from_u64(2);
         let g = erdos_renyi_gnp(30, 0.15, &mut rng);
-        assert_eq!(local_sensitivity_at_distance(&g, 0), triangle_local_sensitivity(&g));
+        assert_eq!(
+            local_sensitivity_at_distance(&g, 0),
+            triangle_wedge_stats(&g, &Executor::sequential()).local_sensitivity
+        );
     }
 
     #[test]
@@ -465,7 +391,7 @@ mod tests {
     fn smooth_sensitivity_is_at_least_local_sensitivity() {
         let mut rng = StdRng::seed_from_u64(4);
         let g = erdos_renyi_gnp(30, 0.2, &mut rng);
-        let ls = triangle_local_sensitivity(&g) as f64;
+        let ls = triangle_wedge_stats(&g, &Executor::sequential()).local_sensitivity as f64;
         for beta in [0.01, 0.05, 0.2, 1.0] {
             assert!(smooth_sensitivity_triangles_exact(&g, beta) >= ls);
             assert!(smooth_sensitivity_triangles(&g, beta) >= ls);
@@ -599,7 +525,7 @@ mod tests {
                 (0..len).map(|_| (rng.gen_range(0..15u32), rng.gen_range(0..15u32))).collect();
             let beta = rng.gen_range(0.05..1.0);
             let g = Graph::from_edges(15, edges);
-            let ls = triangle_local_sensitivity(&g) as f64;
+            let ls = triangle_wedge_stats(&g, &Executor::sequential()).local_sensitivity as f64;
             let exact = smooth_sensitivity_triangles_exact(&g, beta);
             let fast = smooth_sensitivity_triangles(&g, beta);
             assert!(exact + 1e-9 >= ls);

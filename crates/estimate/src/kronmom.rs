@@ -112,6 +112,7 @@ impl KronMomEstimator {
         objective: &MomentObjective,
         exec: &Executor,
     ) -> FittedInitiator {
+        let _span = kronpriv_obs::stage_span("moment_fit");
         let bounds = Bounds::unit(3);
         let nm = NelderMeadOptions {
             max_evaluations: self.options.max_evaluations,

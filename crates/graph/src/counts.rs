@@ -14,6 +14,11 @@
 //! their private approximations from a private degree sequence (Fact 4.6). The triangle count is
 //! not, which is why it gets the smooth-sensitivity treatment; the per-pair common-neighbour
 //! counts exposed here are exactly what that computation needs.
+//!
+//! That release needs both `LS_Δ = max_{ij} a_ij` and `Δ`, and both fall out of the same
+//! common-neighbour counters, so [`triangle_wedge_stats`] computes them in **one** wedge pass.
+//! The kernel itself is uncached; [`Graph::wedge_stats`] memoises its result on the immutable
+//! graph, so repeated releases on one stored graph pay for the pass only once.
 
 use crate::graph::Graph;
 use kronpriv_json::impl_json_struct;
@@ -27,6 +32,20 @@ const EDGE_CHUNK: usize = 1024;
 /// Cost hint for the edge-partitioned triangle kernels: one sorted-neighbour intersection per
 /// edge, a short data-dependent scan.
 const EDGE_WORK: Work = Work::MODERATE;
+
+/// Left endpoints (`i` below) per work chunk for the node-partitioned wedge kernel. Fixed —
+/// never derived from the thread count — so the `max`-merge is over the same chunk set for any
+/// [`Executor`]; sized so one chunk carries enough wedge work to amortize a pool handoff.
+const NODE_CHUNK: usize = 256;
+
+/// Cost hint for one left endpoint of the wedge kernel: a two-hop scan, roughly the squared
+/// average degree in neighbour-list steps. A pure function of the graph shape, as the
+/// executor's sequential cutoff requires.
+fn wedge_work(g: &Graph) -> Work {
+    let n = g.node_count().max(1) as u64;
+    let avg_degree = (2 * g.edge_count() as u64).div_ceil(n);
+    Work::per_item_ns(2 * avg_degree * avg_degree)
+}
 
 /// The four observed statistics `(E, H, T, Δ)` used for moment matching.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,8 +126,8 @@ pub fn tripin_count(degrees: &[usize]) -> f64 {
 /// Exact number of triangles in `g`.
 ///
 /// Uses the standard "forward" algorithm: for every edge `{u, v}` with `u < v`, count common
-/// neighbours `w > v`. Runtime is `O(Σ_e min(d_u, d_v))`, comfortably fast for the graphs the
-/// paper evaluates.
+/// neighbours `w > v` by merging the two full sorted neighbour lists. Runtime is
+/// `O(Σ_e (d_u + d_v)) = O(Σ_v d_v²)`, comfortably fast for the graphs the paper evaluates.
 // lint:source(sensitive)
 pub fn triangle_count(g: &Graph) -> u64 {
     triangle_count_par(g, &Executor::sequential())
@@ -130,6 +149,69 @@ pub fn triangle_count_par(g: &Graph, exec: &Executor) -> u64 {
         |acc: u64, partial| acc + partial,
         0,
     )
+}
+
+/// What one wedge pass over the graph yields: the inputs of the triangle release.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WedgeStats {
+    /// The local sensitivity `LS_Δ(G) = max_{ij} a_ij`: the largest number of common
+    /// neighbours over all node pairs.
+    pub local_sensitivity: usize,
+    /// The exact triangle count `Δ` — sensitive: it only ever leaves the workspace through the
+    /// noisy release.
+    pub triangles: u64,
+}
+
+/// The local sensitivity **and** the exact triangle count of `g` in one wedge pass on `exec`'s
+/// compute threads: `O(Σ_v d_v²)` time, `threads × O(n)` memory. Always runs the pass; see
+/// [`Graph::wedge_stats`] for the memoised read.
+///
+/// Node-partitioned: each participant owns one `O(n)` counter/touched-list scratch pair and,
+/// for every left endpoint `i` in its chunks, accumulates `a_ij` for all `j > i` by walking the
+/// two-hop neighbourhood of `i` (`i — v — j` wedges). The counters then give both statistics
+/// before they are reset: `LS_Δ` is the max over the touched counters, and summing the counters
+/// of `i`'s own neighbours `j > i` adds `a_ij` once per edge — every triangle is seen from each
+/// of its three edges, so `Δ` is a third of the total. Both merges are exact integer `max`/sum,
+/// so the result is identical for any thread count.
+// lint:source(sensitive)
+pub fn triangle_wedge_stats(g: &Graph, exec: &Executor) -> WedgeStats {
+    let n = g.node_count();
+    let (local_sensitivity, wedge_closures, _, _) = exec.fold_reduce(
+        n,
+        NODE_CHUNK,
+        wedge_work(g),
+        // (running max, closed-wedge sum, counters indexed by j, touched-j list for the reset).
+        || (0usize, 0u64, vec![0u32; n], Vec::<u32>::new()),
+        |(best, closures, counts, touched), left_endpoints| {
+            for i in left_endpoints {
+                let i = i as u32;
+                for &v in g.neighbors(i) {
+                    let two_hop = g.neighbors(v);
+                    // Neighbour lists are sorted: skip straight to the j > i suffix so each
+                    // unordered pair {i, j} is counted from its smaller endpoint only.
+                    let start = two_hop.partition_point(|&j| j <= i);
+                    for &j in &two_hop[start..] {
+                        if counts[j as usize] == 0 {
+                            touched.push(j);
+                        }
+                        counts[j as usize] += 1;
+                    }
+                }
+                let own = g.neighbors(i);
+                let above = own.partition_point(|&j| j <= i);
+                for &j in &own[above..] {
+                    *closures += u64::from(counts[j as usize]);
+                }
+                for &j in touched.iter() {
+                    *best = (*best).max(counts[j as usize] as usize);
+                    counts[j as usize] = 0;
+                }
+                touched.clear();
+            }
+        },
+        |a, b| (a.0.max(b.0), a.1 + b.1, a.2, a.3),
+    );
+    WedgeStats { local_sensitivity, triangles: wedge_closures / 3 }
 }
 
 /// Number of triangles incident to each node.

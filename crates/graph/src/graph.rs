@@ -6,14 +6,22 @@
 //! exactly those cleaning steps for arbitrary edge input, so every graph in the workspace is a
 //! simple undirected graph by construction.
 
+use crate::counts::{triangle_wedge_stats, WedgeStats};
+use kronpriv_par::Executor;
 use std::collections::BTreeSet;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// An immutable simple undirected graph.
 ///
 /// Nodes are `0..node_count()`. Neighbour lists are sorted, contain no duplicates and no
 /// self-loops. Each undirected edge `{u, v}` is stored once in [`Graph::edges`] (with `u < v`)
 /// and appears in both adjacency lists.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality and `Debug` cover the structure only, never the [`Graph::wedge_stats`] memo: two
+/// graphs with the same edges are equal whether or not either has been released, and the exact
+/// triangle count in the memo is never printed.
+#[derive(Clone)]
 pub struct Graph {
     /// CSR offsets into `adjacency`, length `node_count() + 1`.
     offsets: Vec<usize>,
@@ -21,12 +29,35 @@ pub struct Graph {
     adjacency: Vec<u32>,
     /// Canonical edge list with `u < v`.
     edges: Vec<(u32, u32)>,
+    /// The first [`Graph::wedge_stats`] result. Every edit builds a new `Graph`, so the memo
+    /// can never describe other edges than these.
+    wedge_stats: OnceLock<WedgeStats>,
+}
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.offsets == other.offsets
+            && self.adjacency == other.adjacency
+            && self.edges == other.edges
+    }
+}
+
+impl Eq for Graph {}
+
+impl fmt::Debug for Graph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Graph")
+            .field("offsets", &self.offsets)
+            .field("adjacency", &self.adjacency)
+            .field("edges", &self.edges)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Graph {
     /// Creates an empty graph with `n` isolated nodes.
     pub fn empty(n: usize) -> Self {
-        Graph { offsets: vec![0; n + 1], adjacency: Vec::new(), edges: Vec::new() }
+        GraphBuilder::new(n).build()
     }
 
     /// Builds a graph directly from an iterator of undirected edges. Self-loops and duplicates
@@ -96,6 +127,15 @@ impl Graph {
         } else {
             2.0 * self.edge_count() as f64 / self.node_count() as f64
         }
+    }
+
+    /// The local sensitivity and exact triangle count of this graph ([`triangle_wedge_stats`]),
+    /// computed on `exec` by the first call and read from a memo by every later one. The memo
+    /// holds only these two noise-free integers, so a release that adds fresh noise to them is
+    /// byte-identical whether the memo was cold or warm.
+    // lint:source(sensitive)
+    pub fn wedge_stats(&self, exec: &Executor) -> WedgeStats {
+        *self.wedge_stats.get_or_init(|| triangle_wedge_stats(self, exec))
     }
 
     /// Iterates over all nodes.
@@ -200,13 +240,14 @@ impl GraphBuilder {
         for i in 0..self.n {
             adjacency[offsets[i]..offsets[i + 1]].sort_unstable();
         }
-        Graph { offsets, adjacency, edges }
+        Graph { offsets, adjacency, edges, wedge_stats: OnceLock::new() }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counts::{max_common_neighbors, triangle_count};
     use crate::test_support::rand_edges;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -365,5 +406,55 @@ mod tests {
             assert!(g2.edge_count() >= g.edge_count());
             assert!(g2.edge_count() <= g.edge_count() + 1);
         }
+    }
+
+    #[test]
+    fn memoised_graph_equals_a_fresh_copy_and_clones_keep_the_stats() {
+        let g = triangle_plus_tail();
+        let stats = g.wedge_stats(&Executor::new(2));
+        assert_eq!(stats, WedgeStats { local_sensitivity: 1, triangles: 1 });
+        let fresh = triangle_plus_tail();
+        assert!(fresh.wedge_stats.get().is_none());
+        assert_eq!(g, fresh, "the memo is not part of equality");
+        let clone = g.clone();
+        assert_eq!(clone.wedge_stats.get(), Some(&stats), "a clone carries the memo");
+        assert_eq!(clone.wedge_stats(&Executor::sequential()), stats);
+    }
+
+    #[test]
+    fn edited_graphs_start_cold_and_count_their_own_edges() {
+        let check = |edited: &Graph| {
+            assert!(edited.wedge_stats.get().is_none(), "an edit must not inherit the memo");
+            let stats = edited.wedge_stats(&Executor::sequential());
+            assert_eq!(stats.triangles, triangle_count(edited));
+            assert_eq!(stats.local_sensitivity, max_common_neighbors(edited));
+            stats
+        };
+        // Closing 0–3 adds the triangle {0, 2, 3}; opening 0–1 breaks {0, 1, 2}.
+        let g = triangle_plus_tail();
+        g.wedge_stats(&Executor::sequential());
+        assert_eq!(check(&g.with_edge_added(0, 3)).triangles, 2);
+        assert_eq!(check(&g.with_edge_removed(0, 1)).triangles, 0);
+
+        let mut rng = StdRng::seed_from_u64(0x62_7003);
+        for _ in 0..32 {
+            let g = Graph::from_edges(15, rand_edges(&mut rng, 15, 80));
+            g.wedge_stats(&Executor::new(2));
+            let (u, v) = (rng.gen_range(0..15u32), rng.gen_range(0..15u32));
+            check(&g.with_edge_added(u, v));
+            check(&g.with_edge_removed(u, v));
+            if let Some(&(u, v)) = g.edges().first() {
+                check(&g.with_edge_removed(u, v));
+            }
+        }
+    }
+
+    #[test]
+    fn debug_output_never_shows_the_memo() {
+        let g = Graph::from_edges(5, (0..5u32).flat_map(|u| (u + 1..5).map(move |v| (u, v))));
+        assert_eq!(g.wedge_stats(&Executor::sequential()).triangles, 10);
+        let printed = format!("{g:?}");
+        assert!(!printed.contains("wedge_stats") && !printed.contains("triangles"), "{printed}");
+        assert_eq!(printed, format!("{:?}", g.with_edge_added(0, 1)), "warm and cold print alike");
     }
 }

@@ -5,13 +5,10 @@
 //! reference on the hub-heavy shapes that used to blow up the wedge-pair HashMap.
 
 use kronpriv::prelude::*;
-use kronpriv_dp::{
-    smooth_sensitivity_triangles, smooth_sensitivity_triangles_par, triangle_local_sensitivity,
-    triangle_wedge_stats, WedgeStats,
-};
+use kronpriv_dp::{smooth_sensitivity_triangles, smooth_sensitivity_triangles_par};
 use kronpriv_graph::counts::{
     max_common_neighbors, per_node_triangles, per_node_triangles_par, triangle_count,
-    triangle_count_par,
+    triangle_count_par, triangle_wedge_stats, WedgeStats,
 };
 use kronpriv_graph::generators::preferential_attachment;
 use kronpriv_par::Executor;
@@ -131,8 +128,9 @@ fn hub_heavy_local_sensitivity_runs_in_linear_memory_and_matches_the_reference()
 
     // Small instance: the quadratic reference is affordable, pin exact agreement.
     let small = star_of_stars(12, 8);
-    assert_eq!(triangle_local_sensitivity(&small), max_common_neighbors(&small));
-    assert_eq!(triangle_local_sensitivity(&small), 8);
+    let ls = triangle_wedge_stats(&small, &Executor::sequential()).local_sensitivity;
+    assert_eq!(ls, max_common_neighbors(&small));
+    assert_eq!(ls, 8);
 
     // Hub-heavy instance: hub degree 3'875 ⇒ ~7.5M wedge pairs through the hub alone. The
     // O(n) kernel must handle it instantly at every thread count with the closed-form answer.

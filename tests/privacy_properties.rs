@@ -3,9 +3,9 @@
 //! of the end-to-end release on neighbouring graphs.
 
 use kronpriv::prelude::*;
-use kronpriv_dp::{
-    private_degree_sequence, smooth_sensitivity_triangles, triangle_local_sensitivity,
-};
+use kronpriv_dp::{private_degree_sequence, smooth_sensitivity_triangles};
+use kronpriv_graph::counts::triangle_wedge_stats;
+use kronpriv_par::Executor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -115,5 +115,6 @@ fn local_sensitivity_is_bounded_by_max_degree() {
     // Sanity relation used throughout the smooth-sensitivity analysis: a common neighbour of any
     // pair is a neighbour of both, so the count is at most the maximum degree.
     let graph = base_graph(6);
-    assert!(triangle_local_sensitivity(&graph) <= graph.max_degree());
+    let ls = triangle_wedge_stats(&graph, &Executor::sequential()).local_sensitivity;
+    assert!(ls <= graph.max_degree());
 }

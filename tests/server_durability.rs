@@ -38,19 +38,31 @@ fn start_in_memory() -> ServerHandle {
     .expect("in-memory server must start")
 }
 
-/// A small deterministic edge list (ring + chords), JSON-escaped for request bodies.
-fn edge_list_json() -> String {
+/// A small deterministic edge list on 60 nodes: a ring whose node `i` is also joined to
+/// `i + 2, …, i + max_chord`, JSON-escaped for request bodies.
+fn edge_list_json(max_chord: usize) -> String {
     let mut text = String::new();
     for i in 0..60 {
-        text.push_str(&format!("{} {}\\n{} {}\\n", i, (i + 1) % 60, i, (i + 2) % 60));
+        for step in 1..=max_chord {
+            text.push_str(&format!("{} {}\\n", i, (i + step) % 60));
+        }
     }
     format!("\"{text}\"")
 }
 
 fn create_dataset(addr: SocketAddr, name: &str, epsilon: f64, delta: f64) -> (u16, String) {
+    create_dataset_with(addr, name, &edge_list_json(2), epsilon, delta)
+}
+
+fn create_dataset_with(
+    addr: SocketAddr,
+    name: &str,
+    edge_list: &str,
+    epsilon: f64,
+    delta: f64,
+) -> (u16, String) {
     let body = format!(
-        r#"{{"name": "{name}", "edge_list": {}, "budget": {{"epsilon": {epsilon}, "delta": {delta}}}}}"#,
-        edge_list_json()
+        r#"{{"name": "{name}", "edge_list": {edge_list}, "budget": {{"epsilon": {epsilon}, "delta": {delta}}}}}"#
     );
     client::post_json(addr, "/api/v1/datasets", &body).expect("dataset create request")
 }
@@ -77,6 +89,12 @@ fn submitted_job_id(body: &str) -> u64 {
         .expect("submit has job_id")
         .as_f64()
         .expect("job_id is a number") as u64
+}
+
+fn triangle_value(result: &str) -> f64 {
+    let doc = Json::parse(result).expect("result is JSON");
+    let release = doc.get("triangle_release").expect("result has a triangle release");
+    release.get("value").and_then(Json::as_f64).expect("triangle release has a value")
 }
 
 fn result_bytes(poll_body: &str) -> String {
@@ -136,7 +154,8 @@ fn dataset_and_inline_routes_release_byte_identical_documents() {
     // same result document either way, before and after a durable restart.
     let draw = r#""params": {"epsilon": 0.6, "delta": 0.01}, "seed": 33"#;
     let dataset_body = format!("{{{draw}}}");
-    let inline_body = format!(r#"{{"graph": {{"edge_list": {}}}, {draw}}}"#, edge_list_json());
+    let inline = |edge_list: &str| format!(r#"{{"graph": {{"edge_list": {edge_list}}}, {draw}}}"#);
+    let inline_body = inline(&edge_list_json(2));
     let release = |addr: SocketAddr, path: &str, body: &str| {
         let (status, body) = client::post_json(addr, path, body).expect("estimate request");
         assert_eq!(status, 202, "{path}: {body}");
@@ -149,7 +168,23 @@ fn dataset_and_inline_routes_release_byte_identical_documents() {
     let (status, body) = create_dataset(addr, "shared", 5.0, 0.5);
     assert_eq!(status, 201, "{body}");
     let reference = release(addr, "/api/v1/estimate", &inline_body);
-    assert_eq!(release(addr, dataset_path, &dataset_body), reference, "in memory");
+    // The first dataset release runs the wedge pass and memoises it on the stored graph; the
+    // later ones read the memo. Each must match the inline job, whose fresh graph is cold.
+    for i in 1..=5 {
+        assert_eq!(release(addr, dataset_path, &dataset_body), reference, "in memory, #{i}");
+    }
+    // Deleted and re-uploaded under the same name with other edges, the dataset must be
+    // released from its new graph, never from the old graph's memo.
+    let (status, body) = client::delete(addr, "/api/v1/datasets/shared").expect("delete request");
+    assert_eq!(status, 200, "{body}");
+    let denser = edge_list_json(3);
+    let (status, body) = create_dataset_with(addr, "shared", &denser, 5.0, 0.5);
+    assert_eq!(status, 201, "{body}");
+    let denser_reference = release(addr, "/api/v1/estimate", &inline(&denser));
+    // Same seed and node count draw the same Laplace noise, so only the new graph's own Δ and
+    // local sensitivity can move the triangle release: a memo shared across graphs would not.
+    assert_ne!(triangle_value(&denser_reference), triangle_value(&reference));
+    assert_eq!(release(addr, dataset_path, &dataset_body), denser_reference, "re-uploaded");
     handle.shutdown();
 
     let dir = temp_dir("routes");
