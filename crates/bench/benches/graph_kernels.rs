@@ -17,6 +17,7 @@ use std::hint::black_box;
 fn main() {
     let mut h = Harness::from_args("graph_kernels");
     let g = Dataset::CaGrQc.generate(1);
+    let seq = Executor::sequential();
 
     h.bench_function("matching_statistics_ca_grqc", |b| {
         b.iter(|| black_box(MatchingStatistics::of_graph(black_box(&g))))
@@ -27,13 +28,15 @@ fn main() {
     });
 
     h.bench_function("smooth_sensitivity_ca_grqc", |b| {
-        b.iter(|| black_box(smooth_sensitivity_triangles(black_box(&g), 0.01)))
+        b.iter(|| black_box(smooth_sensitivity_triangles(black_box(&g), 0.01, &seq)))
     });
 
     {
         let mut rng = StdRng::seed_from_u64(7);
         h.bench_function("private_degree_sequence_ca_grqc", |b| {
-            b.iter(|| black_box(private_degree_sequence(&g, PrivacyParams::pure(0.1), &mut rng)))
+            b.iter(|| {
+                black_box(private_degree_sequence(&g, PrivacyParams::pure(0.1), &mut rng, &seq))
+            })
         });
     }
 

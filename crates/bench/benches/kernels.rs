@@ -22,11 +22,12 @@
 //! busy time), alongside the harness's external ns/op timings.
 
 use kronpriv_bench::harness::Harness;
-use kronpriv_dp::{isotonic_increasing_par, smooth_sensitivity_triangles_par, LaplaceNoise};
+use kronpriv_dp::{isotonic_increasing_par, smooth_sensitivity_triangles, LaplaceNoise};
 use kronpriv_estimate::{KronFitEstimator, KronFitOptions, MomentObjective};
 use kronpriv_graph::counts::{per_node_triangles_par, triangle_count_par};
 use kronpriv_graph::MatchingStatistics;
 use kronpriv_json::Json;
+use kronpriv_obs::NullSink;
 use kronpriv_optim::{multistart_minimize_par, Bounds, MultistartOptions};
 use kronpriv_par::Executor;
 use kronpriv_skg::sample::{sample_fast, SamplerOptions};
@@ -102,7 +103,7 @@ fn main() {
     }
     for threads in THREADS {
         run(&mut h, &mut records, "smooth_sensitivity", nodes, threads, &|exec| {
-            black_box(smooth_sensitivity_triangles_par(black_box(&g), 0.01, exec));
+            black_box(smooth_sensitivity_triangles(black_box(&g), 0.01, exec));
         });
     }
     for threads in THREADS {
@@ -129,7 +130,7 @@ fn main() {
     }
     for threads in THREADS {
         run(&mut h, &mut records, "smooth_sensitivity", large_nodes, threads, &|exec| {
-            black_box(smooth_sensitivity_triangles_par(black_box(&large), 0.01, exec));
+            black_box(smooth_sensitivity_triangles(black_box(&large), 0.01, exec));
         });
     }
     for threads in THREADS {
@@ -182,10 +183,11 @@ fn main() {
     for threads in THREADS {
         run(&mut h, &mut records, "kronfit_step", nodes, threads, &|exec| {
             let mut rng = StdRng::seed_from_u64(17);
-            black_box(KronFitEstimator::new(kronfit_opts).fit_graph_on(
+            black_box(KronFitEstimator::new(kronfit_opts).fit_graph(
                 black_box(&g),
                 &mut rng,
                 exec,
+                &NullSink,
             ));
         });
     }

@@ -1,4 +1,5 @@
-//! Ablation studies listed in DESIGN.md:
+//! Ablation studies beyond the paper's own experiments (summarised in the README's "Evaluation
+//! datasets and ablations" section):
 //!
 //! * **A1 — smooth sensitivity vs graph size**: the paper's Section 5 asks how the smooth
 //!   sensitivity of the triangle count grows with the size of an SKG graph ("preliminary
@@ -53,6 +54,7 @@ pub fn smooth_sensitivity_growth(
     let epsilon_share = 0.1;
     let delta = 0.01;
     let beta = epsilon_share / (2.0 * (2.0f64 / delta).ln());
+    let exec = Executor::sequential();
     let mut out = Vec::new();
     for k in k_range {
         let mut rng = StdRng::seed_from_u64(seed + k as u64);
@@ -63,8 +65,8 @@ pub fn smooth_sensitivity_growth(
             nodes: g.node_count(),
             edges: g.edge_count(),
             triangles: stats.triangles,
-            local_sensitivity: triangle_wedge_stats(&g, &Executor::sequential()).local_sensitivity,
-            smooth_sensitivity: smooth_sensitivity_triangles(&g, beta),
+            local_sensitivity: triangle_wedge_stats(&g, &exec).local_sensitivity,
+            smooth_sensitivity: smooth_sensitivity_triangles(&g, beta, &exec),
         });
     }
     let _ = write_json("ablation", "smooth_sensitivity_growth", &out);
@@ -99,7 +101,8 @@ pub fn epsilon_sweep(
     seed: u64,
 ) -> Vec<EpsilonSweepPoint> {
     let graph = dataset.generate(seed);
-    let kronmom = KronMomEstimator::default().fit_graph(&graph);
+    let exec = Executor::new(0);
+    let kronmom = KronMomEstimator::default().fit_graph(&graph, &exec);
     let mut out = Vec::new();
     for &epsilon in epsilons {
         let mut distances = Vec::new();
@@ -109,6 +112,8 @@ pub fn epsilon_sweep(
                 &graph,
                 PrivacyParams::new(epsilon, 0.01),
                 &mut rng,
+                &exec,
+                &NullSink,
             );
             distances.push(est.fit.theta.distance(&kronmom.theta));
         }
@@ -146,6 +151,7 @@ pub fn objective_grid(k: u32, seed: u64) -> Vec<ObjectiveGridCell> {
     let graph = sample_fast(&truth, k, &SamplerOptions::default(), &mut rng);
     let stats = MatchingStatistics::of_graph(&graph);
     let kk = kronpriv_estimate::kronecker_order_for(graph.node_count());
+    let exec = Executor::new(0);
 
     let mut out = Vec::new();
     for (dist, dist_name) in
@@ -159,7 +165,7 @@ pub fn objective_grid(k: u32, seed: u64) -> Vec<ObjectiveGridCell> {
         ] {
             let objective =
                 MomentObjective::standard(&stats, kk).with_distance(dist).with_normalization(norm);
-            let fit = KronMomEstimator::default().fit_objective(&objective);
+            let fit = KronMomEstimator::default().fit_objective(&objective, &exec);
             out.push(ObjectiveGridCell {
                 distance: dist_name.to_string(),
                 normalization: norm_name.to_string(),

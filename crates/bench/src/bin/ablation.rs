@@ -1,4 +1,5 @@
-//! Runs the ablation studies of DESIGN.md:
+//! Runs the ablation studies of `kronpriv_bench::ablation` (see the README's "Evaluation
+//! datasets and ablations" section):
 //!
 //! ```text
 //! cargo run --release -p kronpriv-bench --bin ablation -- smooth-sensitivity [--max-k 14]

@@ -104,11 +104,13 @@ pub fn run_figure(figure: u32, options: &FigureOptions) -> FigureResult {
     let (original, real_data) = dataset.load_or_generate(options.data_dir.as_deref(), options.seed);
     let mut rng = StdRng::seed_from_u64(options.seed ^ (figure as u64) << 8);
 
-    // Fit the three estimators.
-    let kronfit =
-        KronFitEstimator::new(kronfit_options(options.quick)).fit_graph(&original, &mut rng);
-    let kronmom = KronMomEstimator::default().fit_graph(&original);
-    let private = PrivateEstimator::default().fit(&original, paper_budget(), &mut rng);
+    // Fit the three estimators on one auto-sized pool.
+    let exec = Executor::new(0);
+    let kronfit = KronFitEstimator::new(kronfit_options(options.quick))
+        .fit_graph(&original, &mut rng, &exec, &NullSink);
+    let kronmom = KronMomEstimator::default().fit_graph(&original, &exec);
+    let private =
+        PrivateEstimator::default().fit(&original, paper_budget(), &mut rng, &exec, &NullSink);
     let estimates: Vec<(String, Initiator2)> = vec![
         ("KronFit".to_string(), kronfit.theta),
         ("KronMom".to_string(), kronmom.theta),

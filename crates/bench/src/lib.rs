@@ -9,8 +9,9 @@
 //!   for synthetic graphs generated from each estimate (optionally averaged over many
 //!   realizations, the paper's "Expected" series), writing JSON + TSV under
 //!   `target/experiments/`,
-//! * `ablation` — the additional studies listed in DESIGN.md: smooth sensitivity versus graph
-//!   size, the ε sweep, and the Dist × Norm objective grid.
+//! * `ablation` — the studies beyond the paper's own experiments (see the README's "Evaluation
+//!   datasets and ablations"): smooth sensitivity versus graph size, the ε sweep, and the
+//!   Dist × Norm objective grid.
 //!
 //! All entry points are ordinary library functions so the integration tests can exercise them
 //! at reduced scale.

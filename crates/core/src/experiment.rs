@@ -102,6 +102,10 @@ mod tests {
     impl_json_struct!(Dummy { value, label });
 
     fn with_temp_experiment_dir<T>(test: impl FnOnce() -> T) -> T {
+        // The directory lives in a process-wide environment variable, so tests that use it run
+        // one at a time: otherwise one test's cleanup deletes the directory another is writing.
+        static ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = ENV.lock().unwrap_or_else(|e| e.into_inner());
         // Route outputs into a unique temp dir so tests never collide with real experiments.
         let dir = std::env::temp_dir().join(format!("kronpriv-exp-{}", std::process::id()));
         std::env::set_var("KRONPRIV_EXPERIMENT_DIR", &dir);

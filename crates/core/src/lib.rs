@@ -19,10 +19,19 @@
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let secret = sample_fast(&Initiator2::new(0.95, 0.55, 0.2), 9, &SamplerOptions::default(), &mut rng);
 //!
-//! // Release an (ε, δ)-private estimate and a synthetic graph sampled from it.
-//! let release = release_synthetic_graph(&secret, PrivacyParams::new(1.0, 0.01), &mut rng);
+//! // Release an (ε, δ)-private estimate and a synthetic graph sampled from it, on one thread
+//! // and observing nothing (pass a pool and a sink to parallelise and watch the stages).
+//! let release = try_release_synthetic_graph(
+//!     &secret,
+//!     PrivacyParams::new(1.0, 0.01),
+//!     &PrivateEstimatorOptions::default(),
+//!     &mut rng,
+//!     &Executor::sequential(),
+//!     &NullSink,
+//! )?;
 //! assert_eq!(release.synthetic.node_count(), 512);
 //! assert!(release.estimate.fit.theta.a <= 1.0);
+//! # Ok::<(), PipelineError>(())
 //! ```
 //!
 //! The heavy lifting lives in the subsystem crates, all re-exported here:
@@ -54,23 +63,17 @@ pub use kronpriv_skg;
 pub use kronpriv_stats;
 
 pub use pipeline::{
-    estimate_with_all_estimators, estimate_with_all_estimators_on, release_synthetic_graph,
-    try_kronfit_estimate, try_kronfit_estimate_observed, try_kronfit_estimate_on,
-    try_kronmom_estimate, try_kronmom_estimate_on, try_private_estimate,
-    try_private_estimate_observed, try_private_estimate_on, try_release_synthetic_graph,
-    try_release_synthetic_graph_observed, try_release_synthetic_graph_on,
-    validate_estimator_inputs, EstimatorSuite, PipelineError, SyntheticRelease,
+    estimate_with_all_estimators, try_kronfit_estimate, try_kronmom_estimate, try_private_estimate,
+    try_release_synthetic_graph, validate_estimator_inputs, EstimatorSuite, PipelineError,
+    SyntheticRelease,
 };
 
 /// The most commonly used items, importable with `use kronpriv::prelude::*`.
 pub mod prelude {
     pub use crate::pipeline::{
-        estimate_with_all_estimators, estimate_with_all_estimators_on, release_synthetic_graph,
-        try_kronfit_estimate, try_kronfit_estimate_observed, try_kronfit_estimate_on,
-        try_kronmom_estimate, try_kronmom_estimate_on, try_private_estimate,
-        try_private_estimate_observed, try_private_estimate_on, try_release_synthetic_graph,
-        try_release_synthetic_graph_observed, try_release_synthetic_graph_on,
-        validate_estimator_inputs, EstimatorSuite, PipelineError, SyntheticRelease,
+        estimate_with_all_estimators, try_kronfit_estimate, try_kronmom_estimate,
+        try_private_estimate, try_release_synthetic_graph, validate_estimator_inputs,
+        EstimatorSuite, PipelineError, SyntheticRelease,
     };
     pub use kronpriv_datasets::{Dataset, DatasetMetadata};
     pub use kronpriv_dp::{PrivacyParams, PrivateDegreeSequence, PrivateTriangleCount};

@@ -7,8 +7,8 @@
 //! argument (Section 4.2 and Leskovec et al.) is that such a graph reproduces the degree
 //! distribution, hop plot, scree plot and network values of the original; it therefore exercises
 //! the same code paths (heavy-tailed degrees, sparse adjacency, large-but-bounded triangle
-//! sensitivity) and preserves the shape of every comparison in the evaluation. The substitution
-//! table in `DESIGN.md` records this decision.
+//! sensitivity) and preserves the shape of every comparison in the evaluation. The README's
+//! "Evaluation datasets and ablations" section records this decision.
 //!
 //! If the actual SNAP edge-list files are available locally, [`Dataset::load_or_generate`]
 //! prefers them, so the experiments can also be run against the real data without code changes.

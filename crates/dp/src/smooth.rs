@@ -72,22 +72,14 @@ pub fn local_sensitivity_at_distance(g: &Graph, s: usize) -> usize {
     best
 }
 
-/// Exact `β`-smooth sensitivity of the triangle count (maximum of `e^{−βs} A(s)` over `s`).
-/// Quadratic in the node count; see [`smooth_sensitivity_triangles`] for the scalable variant.
+/// Exact `β`-smooth sensitivity of the triangle count (maximum of `e^{−βs} A(s)` over `s`),
+/// evaluated on `exec`'s compute threads, partitioned over the smaller pair endpoint. Quadratic
+/// in the node count; see [`smooth_sensitivity_triangles`] for the scalable variant. The merge
+/// is an exact `f64::max`, so the result is bit-identical for any thread count.
 ///
 /// # Panics
 /// Panics if `beta <= 0`.
-pub fn smooth_sensitivity_triangles_exact(g: &Graph, beta: f64) -> f64 {
-    smooth_sensitivity_triangles_exact_par(g, beta, &Executor::sequential())
-}
-
-/// [`smooth_sensitivity_triangles_exact`] on `exec`'s compute threads, partitioned over
-/// the smaller pair endpoint. The merge is an exact `f64::max`, so the result is bit-identical
-/// for any thread count.
-///
-/// # Panics
-/// Panics if `beta <= 0`.
-pub fn smooth_sensitivity_triangles_exact_par(g: &Graph, beta: f64, exec: &Executor) -> f64 {
+pub fn smooth_sensitivity_triangles_exact(g: &Graph, beta: f64, exec: &Executor) -> f64 {
     assert!(beta > 0.0, "beta must be positive");
     let n = g.node_count();
     if n < 3 {
@@ -139,19 +131,13 @@ fn pair_smooth_contribution(a: f64, b: f64, cap: f64, beta: f64) -> f64 {
 /// `S(G) ≤ e^β S(G')` for edge-neighbouring graphs — so using it in place of the exact smooth
 /// sensitivity preserves `(ε, δ)`-differential privacy and only costs some extra noise.
 ///
-/// # Panics
-/// Panics if `beta <= 0`.
-pub fn smooth_sensitivity_triangles(g: &Graph, beta: f64) -> f64 {
-    smooth_sensitivity_triangles_par(g, beta, &Executor::sequential())
-}
-
-/// [`smooth_sensitivity_triangles`] with the wedge pass run on `exec`'s compute threads (see
-/// [`triangle_wedge_stats`]); the closed-form maximisation over `s` happens once on the calling
-/// thread. Identical for any thread count.
+/// The wedge pass runs on `exec`'s compute threads (see [`triangle_wedge_stats`]); the
+/// closed-form maximisation over `s` happens once on the calling thread. Identical for any
+/// thread count.
 ///
 /// # Panics
 /// Panics if `beta <= 0`.
-pub fn smooth_sensitivity_triangles_par(g: &Graph, beta: f64, exec: &Executor) -> f64 {
+pub fn smooth_sensitivity_triangles(g: &Graph, beta: f64, exec: &Executor) -> f64 {
     smooth_upper_bound(triangle_wedge_stats(g, exec).local_sensitivity, g.node_count(), beta)
 }
 
@@ -209,31 +195,18 @@ impl_json_struct_redacted!(PrivateTriangleCount {
 /// When `exact` is true the exact quadratic smooth sensitivity is used; otherwise the scalable
 /// upper bound is used (the default in Algorithm 1 runs on graphs with thousands of nodes).
 ///
-/// # Panics
-/// Panics if `params.delta == 0` (pure DP is impossible for smooth-sensitivity noise with
-/// Laplace tails) or the graph has fewer than 3 nodes with a non-zero budget.
-// lint:sanitizer
-pub fn private_triangle_count<R: Rng + ?Sized>(
-    g: &Graph,
-    params: PrivacyParams,
-    exact: bool,
-    rng: &mut R,
-) -> PrivateTriangleCount {
-    private_triangle_count_par(g, params, exact, rng, &Executor::sequential())
-}
-
-/// [`private_triangle_count`] with its kernels run on `exec`'s compute threads. Both paths take
-/// `Δ` from [`Graph::wedge_stats`] (one wedge pass on the graph's first release, a memo read
-/// after that); the default (`exact = false`) path also takes its sensitivity bound from it,
-/// while the exact path runs the quadratic smooth sensitivity. All parallel reductions are
-/// exact, and the single Laplace draw happens on the calling thread, so the release is
-/// byte-identical for any thread count and for a cold or warm memo, given the same RNG state.
+/// Both paths take `Δ` from [`Graph::wedge_stats`] (one wedge pass on the graph's first
+/// release, a memo read after that); the default path also takes its sensitivity bound from it,
+/// while the exact path runs the quadratic smooth sensitivity on `exec`. All parallel
+/// reductions are exact, and the single Laplace draw happens on the calling thread, so the
+/// release is byte-identical for any thread count and for a cold or warm memo, given the same
+/// RNG state.
 ///
 /// # Panics
 /// Panics if `params.delta == 0` (pure DP is impossible for smooth-sensitivity noise with
 /// Laplace tails).
 // lint:sanitizer
-pub fn private_triangle_count_par<R: Rng + ?Sized>(
+pub fn private_triangle_count<R: Rng + ?Sized>(
     g: &Graph,
     params: PrivacyParams,
     exact: bool,
@@ -246,7 +219,7 @@ pub fn private_triangle_count_par<R: Rng + ?Sized>(
         let _span = kronpriv_obs::stage_span("smooth_sensitivity");
         let stats = g.wedge_stats(exec);
         let ss = if exact {
-            smooth_sensitivity_triangles_exact_par(g, beta, exec)
+            smooth_sensitivity_triangles_exact(g, beta, exec)
         } else {
             smooth_upper_bound(stats.local_sensitivity, g.node_count(), beta)
         };
@@ -265,6 +238,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    fn seq() -> Executor {
+        Executor::sequential()
+    }
+
     fn complete_graph(n: usize) -> Graph {
         let mut edges = Vec::new();
         for u in 0..n as u32 {
@@ -277,20 +254,17 @@ mod tests {
 
     #[test]
     fn local_sensitivity_of_complete_graph_is_n_minus_two() {
-        assert_eq!(
-            triangle_wedge_stats(&complete_graph(7), &Executor::sequential()).local_sensitivity,
-            5
-        );
+        assert_eq!(triangle_wedge_stats(&complete_graph(7), &seq()).local_sensitivity, 5);
     }
 
     #[test]
     fn local_sensitivity_of_triangle_free_graph() {
         // A star has exactly one common neighbour (the hub) for every pair of leaves.
         let star = Graph::from_edges(6, (1..6u32).map(|v| (0, v)));
-        assert_eq!(triangle_wedge_stats(&star, &Executor::sequential()).local_sensitivity, 1);
+        assert_eq!(triangle_wedge_stats(&star, &seq()).local_sensitivity, 1);
         // A single edge has no common neighbours anywhere.
         let edge = Graph::from_edges(2, vec![(0, 1)]);
-        assert_eq!(triangle_wedge_stats(&edge, &Executor::sequential()).local_sensitivity, 0);
+        assert_eq!(triangle_wedge_stats(&edge, &seq()).local_sensitivity, 0);
     }
 
     #[test]
@@ -298,7 +272,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for seed in 0..5 {
             let g = erdos_renyi_gnp(40, 0.1 + 0.05 * seed as f64, &mut rng);
-            let stats = triangle_wedge_stats(&g, &Executor::sequential());
+            let stats = triangle_wedge_stats(&g, &seq());
             assert_eq!(stats.local_sensitivity, max_common_neighbors(&g), "seed {seed}");
             // The fused pass's second output is the exact triangle count.
             assert_eq!(stats.triangles, triangle_count(&g), "seed {seed}");
@@ -324,7 +298,7 @@ mod tests {
             }
         }
         let g = Graph::from_edges(1 + mids as usize + (mids * leaves) as usize, edges);
-        let ls = triangle_wedge_stats(&g, &Executor::sequential()).local_sensitivity;
+        let ls = triangle_wedge_stats(&g, &seq()).local_sensitivity;
         assert_eq!(ls, leaves as usize);
         assert_eq!(ls, max_common_neighbors(&g));
     }
@@ -337,11 +311,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x9A_7001);
         let g = preferential_attachment(400, 4, &mut rng);
         let beta = 0.05;
-        let ls = triangle_wedge_stats(&g, &Executor::sequential()).local_sensitivity;
+        let ls = triangle_wedge_stats(&g, &seq()).local_sensitivity;
         assert_eq!(ls, max_common_neighbors(&g));
         let triangles = triangle_count(&g);
-        let ss = smooth_sensitivity_triangles(&g, beta);
-        let ss_exact = smooth_sensitivity_triangles_exact(&g, beta);
+        let ss = smooth_sensitivity_triangles(&g, beta, &seq());
+        let ss_exact = smooth_sensitivity_triangles_exact(&g, beta, &seq());
         for threads in [1, 2, 8] {
             let exec = Executor::new(threads);
             assert_eq!(
@@ -350,12 +324,12 @@ mod tests {
                 "threads {threads}"
             );
             assert_eq!(
-                smooth_sensitivity_triangles_par(&g, beta, &exec).to_bits(),
+                smooth_sensitivity_triangles(&g, beta, &exec).to_bits(),
                 ss.to_bits(),
                 "threads {threads}"
             );
             assert_eq!(
-                smooth_sensitivity_triangles_exact_par(&g, beta, &exec).to_bits(),
+                smooth_sensitivity_triangles_exact(&g, beta, &exec).to_bits(),
                 ss_exact.to_bits(),
                 "threads {threads}"
             );
@@ -368,7 +342,7 @@ mod tests {
         let g = erdos_renyi_gnp(30, 0.15, &mut rng);
         assert_eq!(
             local_sensitivity_at_distance(&g, 0),
-            triangle_wedge_stats(&g, &Executor::sequential()).local_sensitivity
+            triangle_wedge_stats(&g, &seq()).local_sensitivity
         );
     }
 
@@ -391,10 +365,10 @@ mod tests {
     fn smooth_sensitivity_is_at_least_local_sensitivity() {
         let mut rng = StdRng::seed_from_u64(4);
         let g = erdos_renyi_gnp(30, 0.2, &mut rng);
-        let ls = triangle_wedge_stats(&g, &Executor::sequential()).local_sensitivity as f64;
+        let ls = triangle_wedge_stats(&g, &seq()).local_sensitivity as f64;
         for beta in [0.01, 0.05, 0.2, 1.0] {
-            assert!(smooth_sensitivity_triangles_exact(&g, beta) >= ls);
-            assert!(smooth_sensitivity_triangles(&g, beta) >= ls);
+            assert!(smooth_sensitivity_triangles_exact(&g, beta, &seq()) >= ls);
+            assert!(smooth_sensitivity_triangles(&g, beta, &seq()) >= ls);
         }
     }
 
@@ -404,8 +378,8 @@ mod tests {
         for seed in 0..4 {
             let g = erdos_renyi_gnp(35, 0.1 + 0.05 * seed as f64, &mut rng);
             for beta in [0.02, 0.1, 0.5] {
-                let exact = smooth_sensitivity_triangles_exact(&g, beta);
-                let fast = smooth_sensitivity_triangles(&g, beta);
+                let exact = smooth_sensitivity_triangles_exact(&g, beta, &seq());
+                let fast = smooth_sensitivity_triangles(&g, beta, &seq());
                 assert!(
                     fast >= exact - 1e-9,
                     "fast bound {fast} must dominate exact {exact} (beta {beta})"
@@ -423,17 +397,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let g = erdos_renyi_gnp(18, 0.25, &mut rng);
         let beta = 0.3;
-        let base = smooth_sensitivity_triangles_exact(&g, beta);
+        let base = smooth_sensitivity_triangles_exact(&g, beta, &seq());
         // Check a handful of neighbours in both directions.
         for &(u, v) in g.edges().iter().take(5) {
             let neighbor = g.with_edge_removed(u, v);
-            let other = smooth_sensitivity_triangles_exact(&neighbor, beta);
+            let other = smooth_sensitivity_triangles_exact(&neighbor, beta, &seq());
             assert!(base <= beta.exp() * other + 1e-9);
             assert!(other <= beta.exp() * base + 1e-9);
         }
         let added = g.with_edge_added(0, 1).with_edge_added(2, 3);
         // Two edges away: allow e^{2 beta}.
-        let other = smooth_sensitivity_triangles_exact(&added, beta);
+        let other = smooth_sensitivity_triangles_exact(&added, beta, &seq());
         assert!(other <= (2.0 * beta).exp() * base + 1e-9);
     }
 
@@ -442,10 +416,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let g = preferential_attachment(60, 3, &mut rng);
         let beta = 0.2;
-        let base = smooth_sensitivity_triangles(&g, beta);
+        let base = smooth_sensitivity_triangles(&g, beta, &seq());
         for &(u, v) in g.edges().iter().take(8) {
             let neighbor = g.with_edge_removed(u, v);
-            let other = smooth_sensitivity_triangles(&neighbor, beta);
+            let other = smooth_sensitivity_triangles(&neighbor, beta, &seq());
             assert!(base <= beta.exp() * other + 1e-9, "{base} vs {other}");
             assert!(other <= beta.exp() * base + 1e-9, "{other} vs {base}");
         }
@@ -455,15 +429,15 @@ mod tests {
     fn smooth_sensitivity_grows_as_beta_shrinks() {
         let mut rng = StdRng::seed_from_u64(8);
         let g = erdos_renyi_gnp(30, 0.2, &mut rng);
-        let tight = smooth_sensitivity_triangles_exact(&g, 1.0);
-        let loose = smooth_sensitivity_triangles_exact(&g, 0.01);
+        let tight = smooth_sensitivity_triangles_exact(&g, 1.0, &seq());
+        let loose = smooth_sensitivity_triangles_exact(&g, 0.01, &seq());
         assert!(loose >= tight);
     }
 
     #[test]
     fn empty_and_tiny_graphs_have_zero_smooth_sensitivity() {
-        assert_eq!(smooth_sensitivity_triangles(&Graph::empty(2), 0.1), 0.0);
-        assert_eq!(smooth_sensitivity_triangles_exact(&Graph::empty(1), 0.1), 0.0);
+        assert_eq!(smooth_sensitivity_triangles(&Graph::empty(2), 0.1, &seq()), 0.0);
+        assert_eq!(smooth_sensitivity_triangles_exact(&Graph::empty(1), 0.1, &seq()), 0.0);
     }
 
     #[test]
@@ -471,7 +445,7 @@ mod tests {
         let g = complete_graph(10);
         let mut rng = StdRng::seed_from_u64(9);
         let params = PrivacyParams::new(0.1, 0.01);
-        let rel = private_triangle_count(&g, params, true, &mut rng);
+        let rel = private_triangle_count(&g, params, true, &mut rng, &seq());
         assert_eq!(rel.params, params);
         let expected_beta = 0.1 / (2.0 * (2.0 / 0.01f64).ln());
         assert!((rel.beta - expected_beta).abs() < 1e-12);
@@ -482,7 +456,8 @@ mod tests {
     fn private_triangle_count_is_accurate_with_large_budget() {
         let g = complete_graph(12);
         let mut rng = StdRng::seed_from_u64(10);
-        let rel = private_triangle_count(&g, PrivacyParams::new(100.0, 0.01), true, &mut rng);
+        let rel =
+            private_triangle_count(&g, PrivacyParams::new(100.0, 0.01), true, &mut rng, &seq());
         assert!((rel.value - 220.0).abs() < 5.0, "value {}", rel.value);
     }
 
@@ -498,7 +473,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let vals: Vec<f64> = (0..reps)
                 .map(|_| {
-                    let r = private_triangle_count(g, params, true, &mut rng);
+                    let r = private_triangle_count(g, params, true, &mut rng, &seq());
                     r.value - r.exact
                 })
                 .collect();
@@ -512,7 +487,7 @@ mod tests {
     fn pure_dp_budget_is_rejected() {
         let g = complete_graph(5);
         let mut rng = StdRng::seed_from_u64(13);
-        let _ = private_triangle_count(&g, PrivacyParams::pure(0.5), true, &mut rng);
+        let _ = private_triangle_count(&g, PrivacyParams::pure(0.5), true, &mut rng, &seq());
     }
 
     // Former proptest property (16 cases), now a deterministic seeded loop.
@@ -525,9 +500,9 @@ mod tests {
                 (0..len).map(|_| (rng.gen_range(0..15u32), rng.gen_range(0..15u32))).collect();
             let beta = rng.gen_range(0.05..1.0);
             let g = Graph::from_edges(15, edges);
-            let ls = triangle_wedge_stats(&g, &Executor::sequential()).local_sensitivity as f64;
-            let exact = smooth_sensitivity_triangles_exact(&g, beta);
-            let fast = smooth_sensitivity_triangles(&g, beta);
+            let ls = triangle_wedge_stats(&g, &seq()).local_sensitivity as f64;
+            let exact = smooth_sensitivity_triangles_exact(&g, beta, &seq());
+            let fast = smooth_sensitivity_triangles(&g, beta, &seq());
             assert!(exact + 1e-9 >= ls);
             assert!(fast + 1e-9 >= exact);
             assert!(exact <= 13.0 + 1e-9); // never exceeds n - 2

@@ -5,11 +5,10 @@
 //! * **Baselines / sanity models** — Erdős–Rényi graphs are the model in which Nissim et al.
 //!   analyse the smooth sensitivity of the triangle count, so the ablation experiments compare
 //!   the SKG behaviour against `G(n, p)`.
-//! * **Dataset stand-ins** — the SNAP datasets used in the paper are not redistributable inside
-//!   this repository, so `kronpriv-datasets` composes these generators (mainly the
-//!   preferential-attachment and Chung–Lu models, which produce the heavy-tailed degree
-//!   distributions the paper's networks have) with the SKG sampler to build statistically
-//!   similar substitutes. The substitution rationale lives in `DESIGN.md`.
+//! * **Heavy-tailed test graphs** — the preferential-attachment and Chung–Lu models produce the
+//!   heavy-tailed degree distributions the paper's networks have. (The dataset stand-ins
+//!   themselves are SKG realizations; the README's "Evaluation datasets and ablations" section
+//!   gives the rationale.)
 
 use crate::graph::{Graph, GraphBuilder};
 use rand::seq::SliceRandom;

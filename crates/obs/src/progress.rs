@@ -1,8 +1,8 @@
 //! Typed progress events and the sink trait the estimator loops emit into.
 //!
-//! The compute crates (`kronpriv-dp`, `kronpriv-estimate`, `kronpriv`) take a
-//! `&dyn ProgressSink` in their `*_observed` entry points and call [`ProgressSink::emit`] at
-//! stage boundaries and per-chain KronFit steps. What a sink *does* with an event — append it
+//! The estimator crates (`kronpriv-estimate`, `kronpriv`) take a `&dyn ProgressSink` in every
+//! entry point that reports progress and call [`ProgressSink::emit`] at stage boundaries and
+//! per-chain KronFit steps. What a sink *does* with an event — append it
 //! to a job log, stream it over HTTP, drop it — is entirely the caller's business; nothing a
 //! sink returns can alter the computation (emit returns `()`), preserving the crate-level
 //! no-feedback invariant.
@@ -51,7 +51,7 @@ pub trait ProgressSink: Sync {
     }
 }
 
-/// Discards every event — the default sink behind the plain (non-`_observed`) entry points.
+/// Discards every event — what callers that do not observe a run pass as its sink.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 

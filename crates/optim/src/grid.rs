@@ -77,11 +77,11 @@ pub fn grid_search<F: FnMut(&[f64]) -> f64>(
     sort_grid(results)
 }
 
-/// Parallel form of [`grid_search`]: the lattice is split into fixed [`GRID_CHUNK`]-sized index
-/// chunks evaluated concurrently and concatenated in chunk order, so the output — including the
-/// stable-sort order of equal-valued points — is **bit-identical** to the sequential scan for
-/// every thread count. Requires `Fn` (not `FnMut`): the objective is shared by the workers, so
-/// it must be a pure function of the point.
+/// Parallel form of [`grid_search`]: the lattice is split into fixed 32-point index chunks
+/// (`GRID_CHUNK`) evaluated concurrently and concatenated in chunk order, so the output —
+/// including the stable-sort order of equal-valued points — is **bit-identical** to the
+/// sequential scan for every thread count. Requires `Fn` (not `FnMut`): the objective is
+/// shared by the workers, so it must be a pure function of the point.
 ///
 /// # Panics
 /// Panics if `points_per_axis < 2` or the dimension is zero.

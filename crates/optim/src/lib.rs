@@ -5,7 +5,7 @@
 //! reference MATLAB code minimises it with `fminsearch` (Nelder–Mead) from a handful of starting
 //! points; this crate reproduces that strategy from scratch:
 //!
-//! * [`nelder_mead`] — a projection-based box-constrained Nelder–Mead simplex method,
+//! * [`mod@nelder_mead`] — a projection-based box-constrained Nelder–Mead simplex method,
 //! * [`grid`] — coarse grid evaluation used to seed the simplex,
 //! * [`multistart`] — the driver that combines the two and returns the best local minimum.
 //!

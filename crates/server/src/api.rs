@@ -353,8 +353,8 @@ pub struct SubmitResponse {
     pub job_id: u64,
     /// The status at submission time (always `Queued`).
     pub status: JobStatus,
-    /// Request fields the server accepted but overrode (e.g. a `compute_threads` that differs
-    /// from the server's shared pool). `null` when the request was taken verbatim.
+    /// Advisories recorded on the job. Only jobs restored from data dirs written by older
+    /// servers carry any; `null` when there are none.
     pub warnings: Option<Vec<String>>,
 }
 
@@ -692,6 +692,8 @@ mod tests {
             PrivacyParams::new(1.0, 0.01),
             &PrivateEstimatorOptions::default(),
             &mut rng,
+            &Executor::sequential(),
+            &NullSink,
         )
         .unwrap();
         let doc = EstimateResult::from_estimate(&est, 1, false);

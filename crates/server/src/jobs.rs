@@ -56,7 +56,8 @@ pub struct JobSnapshot {
     pub result: Option<Json>,
     /// The failure message (present exactly when `status == Failed`).
     pub error: Option<String>,
-    /// Request-level warnings recorded at submission (e.g. an ignored `compute_threads`).
+    /// Warnings recorded at submission. Live submissions record none; jobs restored from a
+    /// data dir written by an older server keep the ones it persisted.
     pub warnings: Vec<String>,
 }
 
@@ -175,8 +176,7 @@ fn event_doc(kind: &str, fields: Vec<(&str, Json)>) -> Json {
 /// The progress sink one running job emits into: appends typed JSON documents to the job's
 /// event log and wakes any streamer blocked in [`JobStore::wait_events`].
 ///
-/// Implements [`ProgressSink`], so it plugs directly into the `*_observed` pipeline entry
-/// points. It opts into per-step chain log-likelihoods (`wants_chain_likelihood`) because the
+/// Implements [`ProgressSink`], so it plugs directly into the pipeline entry points. It opts into per-step chain log-likelihoods (`wants_chain_likelihood`) because the
 /// streamed `chain_step` documents carry them — an extra likelihood evaluation per step that
 /// consumes no randomness, so results stay byte-identical (the `kronpriv-obs` no-feedback
 /// invariant).
@@ -342,8 +342,7 @@ impl JobStore {
     }
 
     /// Submits a job and returns its id immediately: [`JobStore::create`] followed by
-    /// [`JobStore::run`]. `warnings` are recorded on the job verbatim (e.g. request fields the
-    /// server overrode).
+    /// [`JobStore::run`]. `warnings` are recorded on the job verbatim.
     pub fn submit(
         &self,
         warnings: Vec<String>,

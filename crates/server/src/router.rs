@@ -4,7 +4,7 @@
 //!
 //! The route table is versioned and resource-scoped under `/api/v1/`; the pre-versioning
 //! paths (`/api/estimate`, `/api/jobs/{id}`, `/api/sample`) are aliases onto their v1
-//! equivalents via [`canonical_path`] — same handlers, byte-identical bodies, plus a
+//! equivalents via `canonical_path` — same handlers, byte-identical bodies, plus a
 //! `Deprecation: true` response header.
 
 use crate::api::BudgetDoc;
@@ -20,8 +20,7 @@ use crate::jobs::{JobEventSink, JobStatus, JobStore};
 use crate::ledger::{BudgetLedger, BudgetRefusal};
 use crate::store::{self, PendingJob, Persistence};
 use kronpriv::pipeline::{
-    try_kronfit_estimate_observed, try_kronmom_estimate_on, try_private_estimate_observed,
-    validate_estimator_inputs,
+    try_kronfit_estimate, try_kronmom_estimate, try_private_estimate, validate_estimator_inputs,
 };
 use kronpriv_estimate::{KronFitOptions, KronMomOptions};
 use kronpriv_graph::io::to_edge_list_string;
@@ -48,8 +47,8 @@ pub struct AppState {
     pub max_order: u32,
     /// The compute executor, built **once** at startup and shared by every estimation job:
     /// each job borrows this pool for its parallel stages instead of spawning threads per
-    /// call. Enforced over request options because the kernels are pool-size-deterministic,
-    /// so only resources — never results — are at stake.
+    /// call. The kernels are pool-size-deterministic, so only resources — never results —
+    /// depend on its size.
     pub executor: Arc<Executor>,
     /// When the state was built; `/healthz` reports the elapsed whole seconds as uptime.
     pub started: Instant,
@@ -151,7 +150,6 @@ pub fn route(state: &AppState, request: &Request) -> Response {
     let (canonical, deprecated) = canonical_path(path);
     let response = dispatch(state, request, &canonical);
     if deprecated {
-        // lint:allow(privacy-taint, reason = "responses can only carry baseline fits of graphs the client itself supplied: dataset-backed jobs are forced to the private estimator at admission (SpecError::NonPrivate in prepare_job)")
         response.with_header("Deprecation", "true")
     } else {
         response
@@ -328,20 +326,6 @@ fn metrics() -> Response {
     Response::metrics_text(200, Registry::global().render())
 }
 
-/// The warning recorded when a request carries an explicit `compute_threads` that differs
-/// from the server's startup-built shared pool. The request field is accepted (old clients
-/// keep working) but has no effect on resources; it never affects results either, because
-/// every parallel kernel is pool-size-deterministic.
-fn compute_threads_warning(field: &str, requested: usize, exec: &Executor) -> Option<String> {
-    (requested != 0 && requested != exec.threads()).then(|| {
-        format!(
-            "{field}={requested} is ignored: jobs run on the server's shared compute pool of \
-             {} thread(s); results are byte-identical for any pool size",
-            exec.threads()
-        )
-    })
-}
-
 /// Parses a request body as UTF-8 JSON into `T`, or produces the 400 response.
 fn parse_body<T: FromJson>(request: &Request) -> Result<T, Response> {
     let text = std::str::from_utf8(&request.body)
@@ -412,9 +396,11 @@ fn validate_kronfit_options(options: &KronFitOptions) -> Result<(), String> {
 /// `grid_points_per_axis`, so an absurd value would pin an estimation worker or exhaust memory
 /// before a single objective evaluation finishes.
 fn validate_kronmom_options(options: &KronMomOptions) -> Result<(), String> {
-    if options.grid_points_per_axis == 0 || options.grid_points_per_axis > 64 {
+    // The lattice needs both endpoints of every axis, so one point per axis is refused here
+    // rather than tripping the optimiser's assertion inside a job (after a dataset's debit).
+    if !(2..=64).contains(&options.grid_points_per_axis) {
         return Err(format!(
-            "kronmom.grid_points_per_axis must be in 1..=64, got {}",
+            "kronmom.grid_points_per_axis must be in 2..=64, got {}",
             options.grid_points_per_axis
         ));
     }
@@ -495,8 +481,6 @@ type JobWork = Box<dyn FnOnce(&JobEventSink) -> Result<Json, String> + Send + 's
 
 /// A fully validated job, ready to debit (dataset jobs) and launch.
 struct PreparedJob {
-    /// Request fields the server accepted but overrode.
-    warnings: Vec<String>,
     /// The `(ε, δ)` the job draws — present exactly for the private estimator; what dataset
     /// jobs debit from their ledger.
     draw: Option<(f64, f64)>,
@@ -549,9 +533,8 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
 
     let seed = spec.seed;
     // The server owns its compute resources: every estimator runs on the startup-built shared
-    // executor, ignoring whatever thread count the request carried. Safe because all parallel
-    // stages are deterministic for any pool size, so this cannot change the result document —
-    // but the request is told so via the `warnings` field rather than silently.
+    // executor. All parallel stages are deterministic for any pool size, so the pool never
+    // changes a result document.
     let exec = Arc::clone(&state.executor);
     match kind {
         EstimatorKind::Private => {
@@ -567,30 +550,17 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
             validate_estimator_inputs(params, &options)
                 .map_err(|e| SpecError::Bad(e.to_string()))?;
             validate_kronmom_options(&options.kronmom).map_err(SpecError::Bad)?;
-            let warnings: Vec<String> = [
-                compute_threads_warning("options.compute_threads", options.compute_threads, &exec),
-                compute_threads_warning(
-                    "options.kronmom.compute_threads",
-                    options.kronmom.compute_threads,
-                    &exec,
-                ),
-            ]
-            .into_iter()
-            .flatten()
-            .collect();
             let include_degrees = spec.include_degree_sequence.unwrap_or(false);
             Ok(PreparedJob {
-                warnings,
                 draw: Some((params.epsilon, params.delta)),
                 work: Box::new(move |sink| {
                     // One seeded RNG drives both the optional SKG realization and the privacy
                     // noise, so the whole job is a pure function of the request document.
                     let mut rng = StdRng::seed_from_u64(seed);
                     let graph = materialize_graph(input, &mut rng)?;
-                    let estimate = try_private_estimate_observed(
-                        &graph, params, &options, &mut rng, &exec, sink,
-                    )
-                    .map_err(|e| format!("estimation rejected: {e}"))?;
+                    let estimate =
+                        try_private_estimate(&graph, params, &options, &mut rng, &exec, sink)
+                            .map_err(|e| format!("estimation rejected: {e}"))?;
                     Ok(EstimateResult::from_estimate(&estimate, seed, include_degrees).to_json())
                 }),
             })
@@ -598,21 +568,13 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
         EstimatorKind::KronMom => {
             let options = spec.options.unwrap_or_default().kronmom;
             validate_kronmom_options(&options).map_err(SpecError::Bad)?;
-            let warnings: Vec<String> = compute_threads_warning(
-                "options.kronmom.compute_threads",
-                options.compute_threads,
-                &exec,
-            )
-            .into_iter()
-            .collect();
             Ok(PreparedJob {
-                warnings,
                 draw: None,
                 work: Box::new(move |sink| {
                     let mut rng = StdRng::seed_from_u64(seed);
                     let graph = materialize_graph(input, &mut rng)?;
                     sink.emit(&ProgressEvent::StageStarted { stage: "fit" });
-                    let fit = try_kronmom_estimate_on(&graph, &options, &exec)
+                    let fit = try_kronmom_estimate(&graph, &options, &exec)
                         .map_err(|e| format!("estimation rejected: {e}"))?;
                     sink.emit(&ProgressEvent::StageFinished { stage: "fit" });
                     Ok(BaselineResult::from_fit(EstimatorKind::KronMom, &fit, seed).to_json())
@@ -622,12 +584,7 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
         EstimatorKind::KronFit => {
             let options = spec.kronfit.unwrap_or_default();
             validate_kronfit_options(&options).map_err(SpecError::Bad)?;
-            let warnings: Vec<String> =
-                compute_threads_warning("kronfit.compute_threads", options.compute_threads, &exec)
-                    .into_iter()
-                    .collect();
             Ok(PreparedJob {
-                warnings,
                 draw: None,
                 work: Box::new(move |sink| {
                     // The same seeded RNG realizes the optional SKG input and then seeds the
@@ -635,9 +592,8 @@ fn prepare_job(state: &AppState, spec: &JobSpec) -> Result<PreparedJob, SpecErro
                     // request document (and independent of --compute-threads).
                     let mut rng = StdRng::seed_from_u64(seed);
                     let graph = materialize_graph(input, &mut rng)?;
-                    let fit =
-                        try_kronfit_estimate_observed(&graph, &options, &mut rng, &exec, sink)
-                            .map_err(|e| format!("estimation rejected: {e}"))?;
+                    let fit = try_kronfit_estimate(&graph, &options, &mut rng, &exec, sink)
+                        .map_err(|e| format!("estimation rejected: {e}"))?;
                     Ok(BaselineResult::from_fit(EstimatorKind::KronFit, &fit, seed).to_json())
                 }),
             })
@@ -670,24 +626,18 @@ fn submit_spec(state: &AppState, spec: JobSpec) -> Response {
         }
     }
     let spec_json = spec.to_json();
-    let warnings = prepared.warnings;
-    let job_id = state.jobs.create(None, warnings.clone(), Some(spec_json.clone()));
+    // A live submission carries no warnings; the (empty) field keeps the record in the shape
+    // older data dirs use, whose persisted warnings boot replay still echoes.
+    let job_id = state.jobs.create(None, Vec::new(), Some(spec_json.clone()));
     state.persist_record("job_submitted", || {
         vec![
-            ("job_id", Json::Number(job_id as f64)), // lint:allow(privacy-taint, reason = "job_id and warnings are admission metadata (a counter and config advisories); they pick up taint only because they travel next to PreparedJob, whose work closure computes the release")
-            ("warnings", Json::Array(warnings.iter().map(|w| Json::String(w.clone())).collect())),
+            ("job_id", Json::Number(job_id as f64)),
+            ("warnings", Json::Array(Vec::new())),
             ("spec", spec_json),
         ]
     });
     state.jobs.run(job_id, prepared.work);
-    ok_json(
-        202,
-        &SubmitResponse {
-            job_id,
-            status: JobStatus::Queued,
-            warnings: (!warnings.is_empty()).then_some(warnings),
-        },
-    )
+    ok_json(202, &SubmitResponse { job_id, status: JobStatus::Queued, warnings: None })
 }
 
 fn estimate(state: &AppState, request: &Request) -> Response {
@@ -778,7 +728,7 @@ fn delete_dataset(state: &AppState, name: &str) -> Response {
 }
 
 /// Re-launches the jobs that were pending when the previous process stopped. Each persisted
-/// spec passes through the same [`prepare_job`] validation as a live request, and its job id
+/// spec passes through the same `prepare_job` validation as a live request, and its job id
 /// is re-used so clients' poll URLs stay valid; seed determinism makes the re-run produce the
 /// byte-identical result document. The budget is **not** debited again — the original debit
 /// record replayed with the log. A spec that no longer validates (e.g. its dataset was
@@ -798,8 +748,8 @@ pub fn replay_pending(state: &AppState, pending: Vec<PendingJob>) {
         };
         match prepare_job(state, &spec) {
             Ok(prepared) => {
-                // Persisted warnings — not freshly computed ones — keep the poll document
-                // byte-identical across the restart even if the server config changed.
+                // Persisted warnings (written by older servers) keep the poll document
+                // byte-identical across the restart.
                 state.jobs.create(Some(job.id), job.warnings, Some(job.spec));
                 // lint:allow(debit-before-enqueue, reason = "boot replay: the original debit record was already replayed from the durable log before any pending job re-runs, so debiting again here would double-charge the dataset")
                 state.jobs.run(job.id, prepared.work);
@@ -943,56 +893,63 @@ mod tests {
         assert_eq!(route(&state, &request("POST", "/metrics", "")).status, 405);
     }
 
-    #[test]
-    fn mismatched_compute_threads_requests_get_an_explicit_warning() {
-        let state = state();
-        let pool = state.executor.threads();
-        // An explicit thread count that cannot match the server pool.
-        let options = kronpriv_estimate::PrivateEstimatorOptions {
-            compute_threads: pool + 7,
-            ..Default::default()
-        };
-        let body = SKG_BODY.replace(
-            "\"seed\": 11",
-            &format!("\"seed\": 11, \"options\": {}", kronpriv_json::to_string(&options)),
-        );
-        let response = route(&state, &request("POST", "/api/estimate", &body));
+    /// Submits `body` inline, runs it to completion, and returns the submit document, the final
+    /// poll document and the result bytes.
+    fn run_to_done(state: &AppState, body: &str) -> (Json, Json, String) {
+        let response = route(state, &request("POST", "/api/v1/estimate", body));
         assert_eq!(response.status, 202, "{}", response.body);
         let submitted = body_json(&response);
-        let warnings = submitted.get("warnings").unwrap();
-        let text = kronpriv_json::to_string(warnings);
-        assert!(text.contains("options.compute_threads"), "{text}");
-        assert!(text.contains("ignored"), "{text}");
-        // The poll document echoes the same warnings for the job's whole lifetime.
         let id = submitted.get("job_id").unwrap().as_f64().unwrap() as u64;
-        let poll = route(&state, &request("GET", &format!("/api/jobs/{id}"), ""));
-        assert!(poll.body.contains("options.compute_threads"), "{}", poll.body);
-        wait_for_job(&state, id);
-        let done = route(&state, &request("GET", &format!("/api/jobs/{id}"), ""));
-        assert!(done.body.contains("options.compute_threads"), "{}", done.body);
+        let snap = wait_for_job(state, id);
+        assert_eq!(snap.status, JobStatus::Done, "{:?}", snap.error);
+        let poll = body_json(&route(state, &request("GET", &format!("/api/v1/jobs/{id}"), "")));
+        (submitted, poll, kronpriv_json::to_string(&snap.result.unwrap()))
+    }
+
+    /// Requests written for the per-options thread knob (`compute_threads`) must keep working:
+    /// the field is ignored like any unknown field, draws no warning, and leaves the result
+    /// document byte-identical to the same request without it.
+    fn assert_legacy_field_is_inert(state: &AppState, with_field: &str, without_field: &str) {
+        let (legacy_submit, legacy_poll, legacy_result) = run_to_done(state, with_field);
+        let (_, _, plain_result) = run_to_done(state, without_field);
+        assert_eq!(legacy_submit.get("warnings"), Some(&Json::Null), "{with_field}");
+        assert_eq!(legacy_poll.get("warnings"), Some(&Json::Null), "{with_field}");
+        assert_eq!(legacy_result, plain_result, "{with_field}");
+    }
+
+    const OPTIONS: &str = r#"{"degree_budget_fraction": 0.5, "exact_smooth_sensitivity": false,
+        "degrees_only": false, "triangle_signal_threshold": 2.0,
+        "kronmom": {"grid_points_per_axis": 7, "refine_top": 5, "max_evaluations": 4000}}"#;
+
+    #[test]
+    fn legacy_compute_threads_in_private_requests_are_ignored_without_warnings() {
+        let state = state();
+        let plain =
+            SKG_BODY.replace("\"seed\": 11", &format!("\"seed\": 11, \"options\": {OPTIONS}"));
+        let legacy = plain
+            .replace("\"degrees_only\"", "\"compute_threads\": 3, \"degrees_only\"")
+            .replace("\"refine_top\"", "\"compute_threads\": 5, \"refine_top\"");
+        assert_eq!(legacy.matches("compute_threads").count(), 2, "{legacy}");
+        assert_legacy_field_is_inert(&state, &legacy, &plain);
     }
 
     #[test]
-    fn matching_or_auto_compute_threads_requests_carry_no_warnings() {
+    fn legacy_compute_threads_in_baseline_requests_are_ignored_without_warnings() {
         let state = state();
-        let pool = state.executor.threads();
-        for threads in [0, pool] {
-            let options = kronpriv_estimate::PrivateEstimatorOptions {
-                compute_threads: threads,
-                ..Default::default()
-            };
-            let options = kronpriv_json::to_string(&options);
-            let body =
-                SKG_BODY.replace("\"seed\": 11", &format!("\"seed\": 11, \"options\": {options}"));
-            let response = route(&state, &request("POST", "/api/estimate", &body));
-            assert_eq!(response.status, 202, "{}", response.body);
-            assert_eq!(
-                body_json(&response).get("warnings"),
-                Some(&Json::Null),
-                "{options}: {}",
-                response.body
-            );
-        }
+        let graph = r#""graph": {"skg": {"theta": {"a": 0.95, "b": 0.55, "c": 0.2}, "k": 7}}"#;
+        let kronmom =
+            format!(r#"{{{graph}, "estimator": "kronmom", "seed": 5, "options": {OPTIONS}}}"#);
+        let legacy = kronmom.replace("\"refine_top\"", "\"compute_threads\": 5, \"refine_top\"");
+        assert_legacy_field_is_inert(&state, &legacy, &kronmom);
+        let kronfit = format!(
+            r#"{{{graph}, "estimator": "kronfit", "seed": 5,
+                "kronfit": {{"gradient_steps": 4, "warmup_swaps": 300, "samples_per_step": 2,
+                             "swaps_between_samples": 100, "learning_rate": 0.06,
+                             "min_parameter": 0.001, "initial": {{"a": 0.9, "b": 0.6, "c": 0.2}},
+                             "chains": 2}}}}"#
+        );
+        let legacy = kronfit.replace("\"chains\"", "\"compute_threads\": 7, \"chains\"");
+        assert_legacy_field_is_inert(&state, &legacy, &kronfit);
     }
 
     #[test]
@@ -1125,6 +1082,18 @@ mod tests {
                                "kronmom": {"grid_points_per_axis": 100000, "refine_top": 5,
                                            "max_evaluations": 4000}}}"#,
                 "kronmom.grid_points_per_axis",
+            ),
+            // One point per axis leaves the lattice without both endpoints: refused up front
+            // instead of failing inside the optimiser.
+            (
+                r#"{"graph": {"skg": {"theta": {"a": 0.9, "b": 0.5, "c": 0.2}, "k": 8}},
+                   "params": {"epsilon": 1.0, "delta": 0.01}, "seed": 1,
+                   "options": {"degree_budget_fraction": 0.5,
+                               "exact_smooth_sensitivity": false, "degrees_only": false,
+                               "triangle_signal_threshold": 2.0,
+                               "kronmom": {"grid_points_per_axis": 1, "refine_top": 5,
+                                           "max_evaluations": 4000}}}"#,
+                "kronmom.grid_points_per_axis must be in 2..=64",
             ),
             (
                 r#"{"graph": {"skg": {"theta": {"a": 0.9, "b": 0.5, "c": 0.2}, "k": 8}},

@@ -29,8 +29,7 @@ pub struct ServerConfig {
     /// sensitivity), the isotonic degree post-processing and the moment-matching fit; `0`
     /// means one worker per available hardware thread. Every stage is deterministic for any
     /// pool size, so this knob never changes a job's result — it is server-side resource
-    /// control only, which is also why the server runs jobs on its own pool instead of
-    /// whatever a request's `options.compute_threads` says.
+    /// control only, and requests have no say in it.
     pub compute_threads: usize,
     /// Largest Kronecker order accepted by `/api/sample` and sampled-SKG inputs.
     pub max_order: u32,

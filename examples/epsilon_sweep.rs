@@ -15,7 +15,8 @@ fn main() {
     let original = Dataset::CaGrQc.generate(1);
     println!("CA-GrQc stand-in: {} nodes, {} edges", original.node_count(), original.edge_count());
 
-    let kronmom = KronMomEstimator::default().fit_graph(&original);
+    let exec = Executor::new(0);
+    let kronmom = KronMomEstimator::default().fit_graph(&original, &exec);
     println!("non-private KronMom estimate: {}", kronmom.theta);
 
     let repetitions = 5;
@@ -30,6 +31,8 @@ fn main() {
                 &original,
                 PrivacyParams::new(epsilon, 0.01),
                 &mut rng,
+                &exec,
+                &NullSink,
             );
             distances.push(est.fit.theta.distance(&kronmom.theta));
         }

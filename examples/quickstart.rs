@@ -25,9 +25,19 @@ fn main() {
 
     // Release an (ε, δ)-differentially private estimate of the initiator (Algorithm 1) and a
     // synthetic graph sampled from it. Only `release.estimate.fit.theta` (and things derived
-    // from it, like the synthetic graph) should ever leave the data curator's machine.
+    // from it, like the synthetic graph) should ever leave the data curator's machine. The
+    // parallel stages run on one worker per hardware thread; the result is the same for any
+    // pool size.
     let budget = PrivacyParams::paper_default(); // ε = 0.2, δ = 0.01, as in the paper
-    let release = release_synthetic_graph(&sensitive, budget, &mut rng);
+    let release = try_release_synthetic_graph(
+        &sensitive,
+        budget,
+        &PrivateEstimatorOptions::default(),
+        &mut rng,
+        &Executor::new(0),
+        &NullSink,
+    )
+    .expect("a non-empty graph with delta > 0 is a valid release");
     println!("\nprivate estimate at {budget}: Θ̃ = {}", release.estimate.fit.theta);
     println!(
         "private matching statistics [E, H, Δ, T] = {:?}",

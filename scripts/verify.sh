@@ -3,6 +3,7 @@
 # dependency is an in-workspace path dependency — see README.md).
 #
 #   scripts/verify.sh          # fmt --check + build (release) + tests + clippy -D warnings
+#                              # + rustdoc -D warnings + kronpriv-lint
 #   scripts/verify.sh --quick  # additionally smoke-runs the bench harness (with the
 #                              # bench_check regression guard), quickstart and the server probe
 set -euo pipefail
@@ -22,6 +23,9 @@ cargo test -q --offline
 
 echo "==> cargo clippy --offline --all-targets -- -D warnings"
 cargo clippy --offline --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings (no dangling or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 echo "==> kronpriv-lint (static privacy/determinism/no-feedback gate)"
 # The invariant checker (crates/lint): zero unwaived findings or the build fails. Waivers

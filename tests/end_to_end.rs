@@ -6,6 +6,18 @@ use kronpriv::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The pool the pipelines run on: one worker per hardware thread (results are the same for any
+/// pool size).
+fn pool() -> Executor {
+    Executor::new(0)
+}
+
+fn release(graph: &Graph, params: PrivacyParams, rng: &mut StdRng) -> SyntheticRelease {
+    let options = PrivateEstimatorOptions::default();
+    try_release_synthetic_graph(graph, params, &options, rng, &pool(), &NullSink)
+        .expect("a non-empty graph with delta > 0 is a valid release")
+}
+
 fn sensitive_graph(k: u32, seed: u64) -> (Initiator2, Graph) {
     let truth = Initiator2::new(0.99, 0.45, 0.25);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -16,7 +28,7 @@ fn sensitive_graph(k: u32, seed: u64) -> (Initiator2, Graph) {
 fn private_release_pipeline_produces_a_plausible_synthetic_graph() {
     let (_, graph) = sensitive_graph(12, 1);
     let mut rng = StdRng::seed_from_u64(2);
-    let release = release_synthetic_graph(&graph, PrivacyParams::new(0.5, 0.01), &mut rng);
+    let release = release(&graph, PrivacyParams::new(0.5, 0.01), &mut rng);
 
     // The synthetic graph has the padded node count and a comparable edge budget.
     assert_eq!(release.synthetic.node_count(), 4096);
@@ -41,7 +53,7 @@ fn private_estimate_tracks_kronmom_at_the_papers_budget() {
     // budget is therefore row-sum agreement; EXPERIMENTS.md discusses the full-parameter gap and
     // how it closes on triangle-rich (real) networks or larger budgets.
     let (_, graph) = sensitive_graph(13, 3);
-    let kronmom = KronMomEstimator::default().fit_graph(&graph);
+    let kronmom = KronMomEstimator::default().fit_graph(&graph, &pool());
     // The gap is a random variable of the Laplace noise draw; at this tight budget its tail
     // reaches ~0.08 on unlucky seeds. Assert the *typical* (median over five seeds) agreement
     // tightly and every individual draw loosely, so the test checks the claim rather than one
@@ -49,8 +61,13 @@ fn private_estimate_tracks_kronmom_at_the_papers_budget() {
     let mut gaps = Vec::new();
     for seed in 0..5u64 {
         let mut rng = StdRng::seed_from_u64(100 + seed);
-        let private =
-            PrivateEstimator::default().fit(&graph, PrivacyParams::paper_default(), &mut rng);
+        let private = PrivateEstimator::default().fit(
+            &graph,
+            PrivacyParams::paper_default(),
+            &mut rng,
+            &pool(),
+            &NullSink,
+        );
         let theta = private.fit.theta;
         let row_sum_gap = ((theta.a + theta.b) - (kronmom.theta.a + kronmom.theta.b))
             .abs()
@@ -67,7 +84,13 @@ fn private_estimate_tracks_kronmom_at_the_papers_budget() {
     assert!(gaps[gaps.len() / 2] < 0.06, "median row-sum gap too large: {gaps:?}");
     // With a more generous budget the full parameter vector is pinned down as well.
     let mut rng = StdRng::seed_from_u64(500);
-    let generous = PrivateEstimator::default().fit(&graph, PrivacyParams::new(1.0, 0.01), &mut rng);
+    let generous = PrivateEstimator::default().fit(
+        &graph,
+        PrivacyParams::new(1.0, 0.01),
+        &mut rng,
+        &pool(),
+        &NullSink,
+    );
     assert!(
         generous.fit.theta.distance(&kronmom.theta) < 0.1,
         "ε=1 estimate {:?} vs kronmom {:?}",
@@ -79,7 +102,7 @@ fn private_estimate_tracks_kronmom_at_the_papers_budget() {
 #[test]
 fn larger_budgets_never_hurt_utility_substantially() {
     let (_, graph) = sensitive_graph(12, 4);
-    let kronmom = KronMomEstimator::default().fit_graph(&graph);
+    let kronmom = KronMomEstimator::default().fit_graph(&graph, &pool());
     let distance_at = |epsilon: f64| {
         let reps = 3;
         let mut total = 0.0;
@@ -89,6 +112,8 @@ fn larger_budgets_never_hurt_utility_substantially() {
                 &graph,
                 PrivacyParams::new(epsilon, 0.01),
                 &mut rng,
+                &pool(),
+                &NullSink,
             );
             total += est.fit.theta.distance(&kronmom.theta);
         }
@@ -106,7 +131,7 @@ fn larger_budgets_never_hurt_utility_substantially() {
 fn degree_statistics_of_the_synthetic_graph_mimic_the_original() {
     let (_, graph) = sensitive_graph(12, 5);
     let mut rng = StdRng::seed_from_u64(6);
-    let release = release_synthetic_graph(&graph, PrivacyParams::new(1.0, 0.01), &mut rng);
+    let release = release(&graph, PrivacyParams::new(1.0, 0.01), &mut rng);
 
     let options = ProfileOptions { scree_values: 10, network_values: 50, skip_hop_plot: true };
     let original = GraphProfile::compute("original", &graph, &options, &mut rng);
@@ -137,6 +162,7 @@ fn all_three_estimators_agree_on_a_well_specified_model() {
         &KronMomOptions::default(),
         &PrivateEstimatorOptions::default(),
         &mut rng,
+        &pool(),
     );
     assert!(suite.kronmom.theta.distance(&truth) < 0.1, "kronmom {:?}", suite.kronmom.theta);
     assert!(
@@ -152,7 +178,13 @@ fn dataset_standins_flow_through_the_full_pipeline() {
     // Smallest real-network stand-in through the whole pipeline, as the bench harness does.
     let graph = Dataset::CaGrQc.generate(9);
     let mut rng = StdRng::seed_from_u64(10);
-    let est = PrivateEstimator::default().fit(&graph, PrivacyParams::paper_default(), &mut rng);
+    let est = PrivateEstimator::default().fit(
+        &graph,
+        PrivacyParams::paper_default(),
+        &mut rng,
+        &pool(),
+        &NullSink,
+    );
     // The paper's fits for CA-GrQc sit at a ≈ 1.0, b ≈ 0.46, c ≈ 0.28-0.29 and the stand-in was
     // generated from exactly that region. At ε = 0.2 on the (triangle-poor) stand-in the
     // identifiable quantities are the row sums — see EXPERIMENTS.md — so that is what the

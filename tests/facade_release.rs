@@ -1,5 +1,5 @@
 //! The cross-crate facade test required by the offline-build milestone: drive the
-//! `release_synthetic_graph` pipeline end-to-end through `kronpriv::prelude` on a small seeded
+//! `try_release_synthetic_graph` pipeline end-to-end through `kronpriv::prelude` on a small seeded
 //! graph, then check the released artifacts — node/edge counts, the `[0, 1]` parameter box, and
 //! that the release serializes through the in-workspace JSON layer (the path the bench harness
 //! uses for every experiment record).
@@ -8,6 +8,12 @@ use kronpriv::prelude::*;
 use kronpriv_json::ToJson;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+fn release(secret: &Graph, params: PrivacyParams, rng: &mut StdRng) -> SyntheticRelease {
+    let (options, exec) = (PrivateEstimatorOptions::default(), Executor::sequential());
+    try_release_synthetic_graph(secret, params, &options, rng, &exec, &NullSink)
+        .expect("a non-empty graph with delta > 0 is a valid release")
+}
 
 #[test]
 fn release_synthetic_graph_end_to_end_on_a_small_seeded_graph() {
@@ -18,7 +24,7 @@ fn release_synthetic_graph_end_to_end_on_a_small_seeded_graph() {
     assert_eq!(secret.node_count(), 512);
     assert!(secret.edge_count() > 0);
 
-    let release = release_synthetic_graph(&secret, PrivacyParams::new(1.0, 0.01), &mut rng);
+    let release = release(&secret, PrivacyParams::new(1.0, 0.01), &mut rng);
 
     // Node count: the synthetic graph lives on the same padded 2^k node set.
     assert_eq!(release.synthetic.node_count(), 512);
@@ -70,7 +76,7 @@ fn release_is_reproducible_from_the_seed() {
         let mut rng = StdRng::seed_from_u64(seed);
         let secret =
             sample_fast(&Initiator2::new(0.9, 0.5, 0.2), 9, &SamplerOptions::default(), &mut rng);
-        let release = release_synthetic_graph(&secret, PrivacyParams::new(0.5, 0.01), &mut rng);
+        let release = release(&secret, PrivacyParams::new(0.5, 0.01), &mut rng);
         (release.estimate.fit.theta, release.synthetic.edge_count())
     };
     assert_eq!(run(42), run(42));

@@ -5,10 +5,10 @@
 //! isotonic pass must agree with the plain sequential PAVA reference up to float associativity.
 //!
 //! Together with `tests/parallel_consistency.rs` (the counting kernels) this pins the whole of
-//! Algorithm 1: `compute_threads` is a pure performance knob at every stage.
+//! Algorithm 1: the executor's pool size is a pure performance knob at every stage.
 
 use kronpriv::prelude::*;
-use kronpriv_dp::{isotonic_increasing_par, private_degree_sequence_par};
+use kronpriv_dp::{isotonic_increasing_par, private_degree_sequence};
 use kronpriv_estimate::MomentObjective;
 use kronpriv_linalg::isotonic_increasing;
 use kronpriv_optim::{
@@ -117,7 +117,7 @@ fn parallel_isotonic_pass_is_bit_identical_and_tracks_the_sequential_reference()
     let g = skg_graph(13, 0xF17_0003);
     let release = |threads: usize| {
         let mut rng = StdRng::seed_from_u64(0xF17_0004);
-        private_degree_sequence_par(&g, PrivacyParams::pure(0.1), &mut rng, &Executor::new(threads))
+        private_degree_sequence(&g, PrivacyParams::pure(0.1), &mut rng, &Executor::new(threads))
     };
     let reference = release(1);
     assert!(reference.degrees.len() >= 8192, "want a multi-block sequence");
@@ -140,14 +140,22 @@ fn parallel_isotonic_pass_is_bit_identical_and_tracks_the_sequential_reference()
 
 #[test]
 fn full_private_fit_is_invariant_under_the_thread_knob() {
-    // End to end through the new parallel fitting stage: Algorithm 1's released initiator must
-    // not depend on compute_threads, whether the knob is set on the pipeline options or left
-    // for the KronMom stage to resolve.
+    // End to end through the parallel fitting stage: Algorithm 1's released initiator must
+    // not depend on the size of the pool every stage, the KronMom fit included, runs on.
     let g = skg_graph(10, 0xF17_0005);
     let fit = |threads: usize| {
-        let options = PrivateEstimatorOptions { compute_threads: threads, ..Default::default() };
+        let options = PrivateEstimatorOptions::default();
         let mut rng = StdRng::seed_from_u64(0xF17_0006);
-        try_private_estimate(&g, PrivacyParams::paper_default(), &options, &mut rng).unwrap()
+        let exec = Executor::new(threads);
+        try_private_estimate(
+            &g,
+            PrivacyParams::paper_default(),
+            &options,
+            &mut rng,
+            &exec,
+            &NullSink,
+        )
+        .unwrap()
     };
     let reference = fit(1);
     for threads in [2usize, 8] {

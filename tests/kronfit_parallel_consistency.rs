@@ -1,6 +1,6 @@
 //! The determinism contract of the multi-chain parallel KronFit, enforced end to end: at a
 //! fixed chain count the fit must be **byte-identical** for 1, 2 and 8 compute threads on
-//! seeded stochastic Kronecker inputs, because the thread knob only decides which worker runs
+//! seeded stochastic Kronecker inputs, because the executor only decides which worker runs
 //! which chain/edge-chunk — chunk-order reduction puts the pieces back together in a fixed
 //! order. The chain count, by contrast, is an algorithm parameter: it selects how many
 //! [`StdRng::split`] streams drive the Metropolis sampling, so changing it is *supposed* to
@@ -29,14 +29,13 @@ fn skg_graph(k: u32, seed: u64) -> Graph {
 /// A short but real fit configuration: multi-chunk edge sums would need a bigger graph, so the
 /// chain fan-out is the parallel path this options set exercises; the edge-partitioned sums
 /// have their own multi-chunk bit-identity test in the `kronpriv-estimate` unit suite.
-fn quick_options(chains: usize, compute_threads: usize) -> KronFitOptions {
+fn quick_options(chains: usize) -> KronFitOptions {
     KronFitOptions {
         gradient_steps: 8,
         warmup_swaps: 1_000,
         samples_per_step: 2,
         swaps_between_samples: 200,
         chains,
-        compute_threads,
         ..Default::default()
     }
 }
@@ -46,7 +45,12 @@ fn multi_chain_fit_is_bit_identical_for_all_thread_counts() {
     let g = skg_graph(9, 0xF17_1000);
     let fit_with = |threads: usize| {
         let mut rng = StdRng::seed_from_u64(0xF17_1001);
-        KronFitEstimator::new(quick_options(4, threads)).fit_graph(&g, &mut rng)
+        KronFitEstimator::new(quick_options(4)).fit_graph(
+            &g,
+            &mut rng,
+            &Executor::new(threads),
+            &NullSink,
+        )
     };
     let reference = fit_with(1);
     for threads in THREAD_COUNTS {
@@ -66,12 +70,13 @@ fn multi_chain_fit_is_bit_identical_for_all_thread_counts() {
 
 #[test]
 fn chain_count_changes_the_fit_thread_count_does_not() {
-    // The contract stated in ISSUE/API terms: `chains` is part of the result's definition,
-    // `compute_threads` never is.
+    // The contract stated in API terms: `chains` is part of the result's definition, the
+    // executor's pool size never is.
     let g = skg_graph(8, 0xF17_1002);
     let run = |chains: usize, threads: usize| {
         let mut rng = StdRng::seed_from_u64(0xF17_1003);
-        KronFitEstimator::new(quick_options(chains, threads)).fit_graph(&g, &mut rng).theta
+        let exec = Executor::new(threads);
+        KronFitEstimator::new(quick_options(chains)).fit_graph(&g, &mut rng, &exec, &NullSink).theta
     };
     assert_eq!(run(3, 1), run(3, 8), "threads must not matter at fixed chains");
     assert_ne!(run(1, 1), run(4, 1), "chain count is an algorithm parameter");
@@ -121,7 +126,8 @@ fn kronfit_baseline_is_invariant_under_the_thread_knob_end_to_end() {
     let g = skg_graph(8, 0xF17_1006);
     let fit = |threads: usize| {
         let mut rng = StdRng::seed_from_u64(0xF17_1007);
-        try_kronfit_estimate(&g, &quick_options(2, threads), &mut rng).unwrap()
+        let exec = Executor::new(threads);
+        try_kronfit_estimate(&g, &quick_options(2), &mut rng, &exec, &NullSink).unwrap()
     };
     let reference = fit(1);
     for threads in [2usize, 8] {

@@ -44,7 +44,7 @@ fn estimation_then_resampling_preserves_the_matching_statistics() {
     let truth = Initiator2::new(0.99, 0.45, 0.25);
     let mut rng = StdRng::seed_from_u64(2);
     let original = sample_fast(&truth, 12, &SamplerOptions::default(), &mut rng);
-    let fit = KronMomEstimator::default().fit_graph(&original);
+    let fit = KronMomEstimator::default().fit_graph(&original, &Executor::new(0));
     let resampled = sample_fast(&fit.theta, fit.k, &SamplerOptions::default(), &mut rng);
     let a = MatchingStatistics::of_graph(&original);
     let b = MatchingStatistics::of_graph(&resampled);
@@ -96,7 +96,7 @@ fn kronmom_recovers_arbitrary_initiators_from_their_own_expectations() {
             tripins: m.tripins,
             triangles: m.triangles,
         };
-        let fit = KronMomEstimator::default().fit_statistics(&stats, k);
+        let fit = KronMomEstimator::default().fit_statistics(&stats, k, &Executor::new(0));
         assert!(fit.theta.distance(&truth) < 0.05, "recovered {:?} from {truth:?}", fit.theta);
     }
 }
@@ -110,7 +110,13 @@ fn private_statistics_are_always_finite_and_non_negative() {
         let mut rng = StdRng::seed_from_u64(seed);
         let g =
             sample_fast(&Initiator2::new(0.9, 0.5, 0.2), 9, &SamplerOptions::default(), &mut rng);
-        let est = PrivateEstimator::default().fit(&g, PrivacyParams::new(epsilon, 0.01), &mut rng);
+        let est = PrivateEstimator::default().fit(
+            &g,
+            PrivacyParams::new(epsilon, 0.01),
+            &mut rng,
+            &Executor::new(0),
+            &NullSink,
+        );
         for v in est.private_statistics {
             assert!(v.is_finite());
             assert!(v >= 0.0);

@@ -5,7 +5,7 @@
 //! reference on the hub-heavy shapes that used to blow up the wedge-pair HashMap.
 
 use kronpriv::prelude::*;
-use kronpriv_dp::{smooth_sensitivity_triangles, smooth_sensitivity_triangles_par};
+use kronpriv_dp::smooth_sensitivity_triangles;
 use kronpriv_graph::counts::{
     max_common_neighbors, per_node_triangles, per_node_triangles_par, triangle_count,
     triangle_count_par, triangle_wedge_stats, WedgeStats,
@@ -55,12 +55,12 @@ fn triangle_counts_are_identical_for_all_thread_counts() {
 fn smooth_sensitivity_is_bit_identical_for_all_thread_counts() {
     for (name, g) in test_graphs() {
         for beta in [0.01, 0.2] {
-            let reference = smooth_sensitivity_triangles(&g, beta);
+            let reference = smooth_sensitivity_triangles(&g, beta, &Executor::sequential());
             assert!(reference > 0.0, "{name}: smooth sensitivity must be positive");
             for threads in THREAD_COUNTS {
                 let exec = Executor::new(threads);
                 assert_eq!(
-                    smooth_sensitivity_triangles_par(&g, beta, &exec).to_bits(),
+                    smooth_sensitivity_triangles(&g, beta, &exec).to_bits(),
                     reference.to_bits(),
                     "{name} beta {beta} threads {threads}"
                 );
@@ -90,12 +90,21 @@ fn hop_plots_are_identical_for_all_thread_counts() {
 
 #[test]
 fn full_private_estimate_is_invariant_under_the_thread_knob() {
-    // End to end: the estimate the server publishes must not depend on compute_threads.
+    // End to end: the estimate the server publishes must not depend on the pool size.
     let (_, g) = &test_graphs()[0];
     let fit = |threads: usize| {
-        let options = PrivateEstimatorOptions { compute_threads: threads, ..Default::default() };
+        let options = PrivateEstimatorOptions::default();
         let mut rng = StdRng::seed_from_u64(0xDE_7003);
-        try_private_estimate(g, PrivacyParams::paper_default(), &options, &mut rng).unwrap()
+        let exec = Executor::new(threads);
+        try_private_estimate(
+            g,
+            PrivacyParams::paper_default(),
+            &options,
+            &mut rng,
+            &exec,
+            &NullSink,
+        )
+        .unwrap()
     };
     let reference = fit(1);
     for threads in [2usize, 8] {

@@ -28,7 +28,13 @@ fn private_estimate_reports_exactly_the_budget_it_was_given() {
     let graph = base_graph(1);
     let mut rng = StdRng::seed_from_u64(2);
     let params = PrivacyParams::new(0.3, 0.005);
-    let est = PrivateEstimator::default().fit(&graph, params, &mut rng);
+    let est = PrivateEstimator::default().fit(
+        &graph,
+        params,
+        &mut rng,
+        &Executor::sequential(),
+        &NullSink,
+    );
     assert_eq!(est.params, params);
     // The two sub-releases carry the split budgets.
     assert!((est.degree_release.params.epsilon - 0.15).abs() < 1e-12);
@@ -43,10 +49,10 @@ fn smooth_sensitivity_changes_slowly_across_edge_neighbours() {
     // cannot change abruptly between neighbouring graphs.
     let graph = base_graph(3);
     let beta = 0.05;
-    let base = smooth_sensitivity_triangles(&graph, beta);
+    let base = smooth_sensitivity_triangles(&graph, beta, &Executor::sequential());
     for &(u, v) in graph.edges().iter().take(10) {
         let neighbour = graph.with_edge_removed(u, v);
-        let other = smooth_sensitivity_triangles(&neighbour, beta);
+        let other = smooth_sensitivity_triangles(&neighbour, beta, &Executor::sequential());
         assert!(base <= beta.exp() * other + 1e-9, "{base} vs {other}");
         assert!(other <= beta.exp() * base + 1e-9, "{other} vs {base}");
     }
@@ -65,7 +71,12 @@ fn degree_sequence_noise_scale_matches_the_sensitivity_bound() {
     let mut errors = Vec::new();
     for seed in 0..reps {
         let mut rng = StdRng::seed_from_u64(100 + seed);
-        let release = private_degree_sequence(&graph, PrivacyParams::pure(epsilon), &mut rng);
+        let release = private_degree_sequence(
+            &graph,
+            PrivacyParams::pure(epsilon),
+            &mut rng,
+            &Executor::sequential(),
+        );
         errors.push(release.edge_count() - graph.edge_count() as f64);
     }
     let variance: f64 = errors.iter().map(|e| e * e).sum::<f64>() / reps as f64;
@@ -92,7 +103,13 @@ fn releases_on_neighbouring_graphs_are_statistically_close() {
         (0..reps)
             .map(|seed| {
                 let mut rng = StdRng::seed_from_u64(offset + seed);
-                private_degree_sequence(g, PrivacyParams::pure(epsilon), &mut rng).edge_count()
+                private_degree_sequence(
+                    g,
+                    PrivacyParams::pure(epsilon),
+                    &mut rng,
+                    &Executor::sequential(),
+                )
+                .edge_count()
             })
             .collect()
     };

@@ -285,6 +285,41 @@ fn budget_exhaustion_answers_429_and_a_refused_draw_spends_nothing() {
 }
 
 #[test]
+fn one_point_kronmom_grids_are_refused_before_any_debit() {
+    // The multistart lattice needs at least two points per axis. A request with one used to be
+    // admitted, debited, and then panic inside the optimiser: ε spent, nothing released.
+    let handle = start_in_memory();
+    let addr = handle.addr();
+    let (status, body) = create_dataset(addr, "grid", 1.0, 0.05);
+    assert_eq!(status, 201, "{body}");
+    let (_, before) = client::get(addr, "/api/v1/datasets/grid/budget").unwrap();
+    let options = r#""options": {"degree_budget_fraction": 0.5,
+        "exact_smooth_sensitivity": false, "degrees_only": false,
+        "triangle_signal_threshold": 2.0,
+        "kronmom": {"grid_points_per_axis": 1, "refine_top": 5, "max_evaluations": 4000}}"#;
+    let params = r#""params": {"epsilon": 0.5, "delta": 0.01}, "seed": 1"#;
+    let (status, body) = client::post_json(
+        addr,
+        "/api/v1/datasets/grid/estimate",
+        &format!("{{{params}, {options}}}"),
+    )
+    .unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"bad_request\""), "{body}");
+    assert!(body.contains("grid_points_per_axis"), "{body}");
+    let (status, after) = client::get(addr, "/api/v1/datasets/grid/budget").unwrap();
+    assert_eq!(status, 200, "{after}");
+    assert_eq!(after, before, "a refused request must spend nothing");
+    // The inline route refuses the same options.
+    let inline =
+        format!("{{\"graph\": {{\"edge_list\": {}}}, {params}, {options}}}", edge_list_json(2));
+    let (status, body) = client::post_json(addr, "/api/v1/estimate", &inline).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"bad_request\""), "{body}");
+    handle.shutdown();
+}
+
+#[test]
 fn a_corrupted_log_tail_is_dropped_on_boot_not_a_crash() {
     use std::io::Write;
     let dir = temp_dir("torn");

@@ -1,8 +1,10 @@
 //! Live-socket coverage of the observability surface: a slow KronFit job followed over the
-//! chunked `/api/jobs/{id}/events` stream, the `warnings` contract for overridden request
-//! fields, and the `/healthz` status document — all over real localhost HTTP, fully offline.
+//! chunked `/api/jobs/{id}/events` stream, the `warnings` that jobs restored from older data
+//! dirs still echo, and the `/healthz` status document — all over real localhost HTTP, fully
+//! offline.
 
 use kronpriv_json::Json;
+use kronpriv_server::store::Persistence;
 use kronpriv_server::{client, serve, ServerConfig};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -21,14 +23,14 @@ fn start_server() -> kronpriv_server::ServerHandle {
 /// long enough that the event stream demonstrably attaches while the job is still running. The
 /// 2^14-node input keeps an optimized build's job well above the 50 ms follow bound (a 2^8-node
 /// input finished in 32–47 ms there).
-fn slow_kronfit_body(seed: u64, compute_threads: usize) -> String {
+fn slow_kronfit_body(seed: u64) -> String {
     format!(
         r#"{{"graph": {{"skg": {{"theta": {{"a": 0.95, "b": 0.55, "c": 0.2}}, "k": 14}}}},
             "estimator": "kronfit", "seed": {seed},
             "kronfit": {{"gradient_steps": 8, "warmup_swaps": 1500, "samples_per_step": 2,
                          "swaps_between_samples": 400, "learning_rate": 0.06,
                          "min_parameter": 0.001, "initial": {{"a": 0.9, "b": 0.6, "c": 0.2}},
-                         "chains": 2, "compute_threads": {compute_threads}}}}}"#
+                         "chains": 2}}}}"#
     )
 }
 
@@ -59,7 +61,7 @@ fn kronfit_event_stream_follows_the_job_from_queued_to_done() {
     let handle = start_server();
     let addr = handle.addr();
     let (status, submitted) =
-        client::post_json(addr, "/api/estimate", &slow_kronfit_body(17, 0)).unwrap();
+        client::post_json(addr, "/api/estimate", &slow_kronfit_body(17)).unwrap();
     assert_eq!(status, 202, "{submitted}");
     let job_id = Json::parse(&submitted).unwrap().get("job_id").unwrap().as_f64().unwrap() as u64;
 
@@ -148,28 +150,80 @@ fn failed_jobs_stream_a_terminal_failed_event() {
     handle.shutdown();
 }
 
-/// The `compute_threads` override contract over live HTTP: a mismatching request value is
-/// accepted but answered with an explicit warning, on the submit response and on every poll.
+/// A data dir as older servers wrote it — `job_submitted` records whose specs still carry the
+/// retired per-options `compute_threads` fields, each with the warning the server answered with
+/// — boots. The job left pending re-runs to the same result as a fresh request without the
+/// fields, and both restored jobs echo their persisted warning on every poll.
 #[test]
-fn overridden_compute_threads_warn_on_submit_and_poll() {
-    let handle = start_server();
+fn legacy_data_dir_warnings_are_echoed_after_boot() {
+    let dir = std::env::temp_dir().join(format!("kronpriv-legacy-warnings-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = r#"{"degree_budget_fraction": 0.5, "exact_smooth_sensitivity": false,
+        "degrees_only": false, "triangle_signal_threshold": 2.0,
+        "kronmom": {"grid_points_per_axis": 7, "refine_top": 5, "max_evaluations": 4000}}"#;
+    let legacy_options = options
+        .replace("\"degrees_only\"", "\"compute_threads\": 9, \"degrees_only\"")
+        .replace("\"refine_top\"", "\"compute_threads\": 0, \"refine_top\"");
+    assert_eq!(legacy_options.matches("compute_threads").count(), 2);
+    let spec = format!(
+        r#"{{"skg": {{"theta": {{"a": 0.95, "b": 0.55, "c": 0.2}}, "k": 7}},
+            "params": {{"epsilon": 1.0, "delta": 0.01}}, "seed": 5, "options": {legacy_options}}}"#
+    );
+    let warning = "options.compute_threads=9 is ignored: jobs run on the server's shared compute \
+                   pool of 2 thread(s); results are byte-identical for any pool size";
+    let warnings = || Json::Array(vec![Json::String(warning.to_string())]);
+    {
+        let (store, _) = Persistence::open(&dir, 1000).unwrap();
+        for id in [7.0, 8.0] {
+            store.record(
+                "job_submitted",
+                vec![
+                    ("job_id", Json::Number(id)),
+                    ("warnings", warnings()),
+                    ("spec", Json::parse(&spec).unwrap()),
+                ],
+                || Json::Object(Vec::new()),
+            );
+        }
+        let result = Json::parse(r#"{"estimator": "private", "seed": 5}"#).unwrap();
+        store.record(
+            "job_finished",
+            vec![("job_id", Json::Number(8.0)), ("result", result)],
+            || Json::Object(Vec::new()),
+        );
+    }
+    let handle = serve(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        job_workers: 1,
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("a legacy data dir must boot");
     let addr = handle.addr();
-    // 1789 threads will never match a real pool.
-    let (status, submitted) =
-        client::post_json(addr, "/api/estimate", &slow_kronfit_body(3, 1789)).unwrap();
+    let replayed = poll_to_done(addr, 7);
+    for poll in [replayed.clone(), poll_to_done(addr, 8)] {
+        let echoed = poll.get("warnings").unwrap().as_array().expect("warnings echoed");
+        assert_eq!(echoed, &[Json::String(warning.to_string())][..], "{poll:?}");
+    }
+
+    // A fresh request without the retired fields draws no warning and releases the same bytes.
+    let body = format!(
+        r#"{{"graph": {{"skg": {{"theta": {{"a": 0.95, "b": 0.55, "c": 0.2}}, "k": 7}}}},
+            "params": {{"epsilon": 1.0, "delta": 0.01}}, "seed": 5, "options": {options}}}"#
+    );
+    let (status, submitted) = client::post_json(addr, "/api/v1/estimate", &body).unwrap();
     assert_eq!(status, 202, "{submitted}");
     let submit = Json::parse(&submitted).unwrap();
-    let warnings = submit.get("warnings").unwrap().as_array().expect("warnings array");
-    assert_eq!(warnings.len(), 1, "{submitted}");
-    let text = warnings[0].as_str().unwrap();
-    assert!(text.contains("kronfit.compute_threads=1789"), "{text}");
-    assert!(text.contains("ignored"), "{text}");
-
-    let job_id = submit.get("job_id").unwrap().as_f64().unwrap() as u64;
-    let poll = poll_to_done(addr, job_id);
-    let echoed = poll.get("warnings").unwrap().as_array().expect("warnings echoed");
-    assert_eq!(echoed[0].as_str().unwrap(), text, "poll must echo the submission warnings");
+    assert_eq!(submit.get("warnings"), Some(&Json::Null), "{submitted}");
+    let fresh = poll_to_done(addr, submit.get("job_id").unwrap().as_f64().unwrap() as u64);
+    assert_eq!(fresh.get("warnings"), Some(&Json::Null));
+    assert_eq!(
+        kronpriv_json::to_string(fresh.get("result").unwrap()),
+        kronpriv_json::to_string(replayed.get("result").unwrap())
+    );
     handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `/healthz` stays a 200 (the bare liveness contract) while carrying the status document:
@@ -187,7 +241,7 @@ fn healthz_serves_the_status_document() {
     assert_eq!(health.get("jobs_done").unwrap().as_f64(), Some(0.0));
 
     let (status, submitted) =
-        client::post_json(addr, "/api/estimate", &slow_kronfit_body(5, 0)).unwrap();
+        client::post_json(addr, "/api/estimate", &slow_kronfit_body(5)).unwrap();
     assert_eq!(status, 202, "{submitted}");
     let job_id = Json::parse(&submitted).unwrap().get("job_id").unwrap().as_f64().unwrap() as u64;
     poll_to_done(addr, job_id);
